@@ -9,8 +9,8 @@ tiny preset), then asserts the deployment contract end to end:
 3. a burst beyond `--max-pending 1` returns 429 with a typed
    `overloaded` error body,
 4. a POSTed `/v1/relax` on a perturbed structure (second server, default
-   flush tick so relax steps are not throttled by the admission-control
-   preset above) returns 200 with a schema-valid, *converged*
+   idle-worker dispatch so relax steps are not throttled by the
+   admission-control preset above) returns 200 with a schema-valid, *converged*
    `RelaxResponse`,
 5. a POSTed `/v1/md` (same second server) streams NDJSON: schema-valid
    `frame` lines in step order, ending with exactly one terminal
@@ -154,9 +154,9 @@ def main() -> int:
             print("admission control ok: burst rejected with 429/overloaded")
 
         # 4. /v1/relax on a perturbed structure -> 200, schema-valid,
-        # converged.  A second server with the default flush tick: the
-        # admission-control server above runs --flush-interval 0.5, which
-        # would throttle every relax force evaluation to the batcher tick.
+        # converged.  A second server with the default dispatch: the
+        # admission-control server above runs --flush-interval 0.5, a hold
+        # that would throttle every relax force evaluation to 0.5 s.
         relax_cache = os.path.join(tempfile.mkdtemp(prefix="repro-smoke-"), "autotune.json")
         relax_process, relax_url = start_server(relax_cache, "--workers", "1")
         try:

@@ -66,7 +66,7 @@ def main() -> None:
         print(f"HTTP == in-process, bit-exact: {identical}")
         local.close()
 
-    # 4. Admission control: a queue bound of 1 with a slow flush tick
+    # 4. Admission control: a queue bound of 1 with a 0.5 s batching hold
     # rejects a burst — clients see a typed, retryable error (HTTP 429).
     overload_config = ServiceConfig(max_pending=1, flush_interval_s=0.5)
     with ApiServer(registry, config=overload_config, workers=1) as server:

@@ -29,6 +29,7 @@ Usage::
 from __future__ import annotations
 
 import json
+import math
 import random
 import time
 import urllib.parse
@@ -63,6 +64,21 @@ from repro.serving.md import MDFrame, MDResult, MDSettings
 from repro.serving.registry import ModelRegistry
 from repro.serving.relax import RelaxResult, RelaxSettings
 from repro.serving.service import PredictionResult, ServiceConfig
+
+
+def _stamp_deadline(headers: dict, deadline: float | None, what: str) -> dict:
+    """``headers`` plus the remaining deadline budget; raises once none is left.
+
+    The budget rounds *up* to the header's 0.1 ms resolution: a sliver of
+    budget must reach the server as an expired deadline, not as a
+    malformed ``0.0``.
+    """
+    if deadline is None:
+        return headers
+    remaining_ms = (deadline - time.monotonic()) * 1000.0
+    if remaining_ms <= 0:
+        raise DeadlineExceededError(f"deadline expired client-side before sending {what}")
+    return dict(headers, **{DEADLINE_HEADER: f"{math.ceil(remaining_ms * 10) / 10:.1f}"})
 
 
 class LocalTransport:
@@ -192,13 +208,7 @@ class HttpTransport:
     def _attempt(
         self, method: str, path: str, data: bytes | None, headers: dict, deadline: float | None
     ) -> dict:
-        if deadline is not None:
-            remaining_ms = (deadline - time.monotonic()) * 1000.0
-            if remaining_ms <= 0:
-                raise DeadlineExceededError(
-                    f"deadline expired client-side before sending {method} {path}"
-                )
-            headers = dict(headers, **{DEADLINE_HEADER: f"{remaining_ms:.1f}"})
+        headers = _stamp_deadline(headers, deadline, f"{method} {path}")
         connection = HTTPConnection(self._host, self._port, timeout=self.connect_timeout_s)
         try:
             try:
@@ -323,13 +333,7 @@ class HttpTransport:
         Non-200 responses are fully read here and re-raised as the typed
         error the server sent, exactly like :meth:`_attempt`.
         """
-        if deadline is not None:
-            remaining_ms = (deadline - time.monotonic()) * 1000.0
-            if remaining_ms <= 0:
-                raise DeadlineExceededError(
-                    "deadline expired client-side before sending POST /v1/md"
-                )
-            headers = dict(headers, **{DEADLINE_HEADER: f"{remaining_ms:.1f}"})
+        headers = _stamp_deadline(headers, deadline, "POST /v1/md")
         connection = HTTPConnection(self._host, self._port, timeout=self.connect_timeout_s)
         try:
             try:

@@ -506,11 +506,16 @@ def _serve_selftest(args: argparse.Namespace) -> int:
     # A synthetic request stream with repeats: screening traffic re-scores
     # known structures, which is what the result cache is for.
     indices = rng.integers(0, len(corpus.graphs), size=args.requests)
+    dispatch = (
+        f"hold {config.flush_interval_s * 1e3:.1f} ms"
+        if config.flush_interval_s
+        else "idle-worker dispatch"
+    )
     print(
         f"serving {args.requests} requests over {len(corpus.graphs)} unique "
         f"structures with {args.workers} worker(s) "
         f"(budget: {config.max_atoms} atoms / {config.max_graphs} graphs, "
-        f"tick {config.flush_interval_s * 1e3:.1f} ms, "
+        f"{dispatch}, "
         f"backend {config.backend or 'default'}, "
         f"plans {'on' if config.plan else 'off'}, "
         f"units {'physical' if normalizer is not None else 'normalized'})"
@@ -688,7 +693,13 @@ def build_parser() -> argparse.ArgumentParser:
         "(0 = unbounded)",
     )
     serve_parser.add_argument(
-        "--flush-interval", type=float, default=0.005, help="timeout tick in seconds"
+        "--flush-interval",
+        type=float,
+        default=0.0,
+        metavar="SECONDS",
+        help="opt-in batching hold: an idle worker waits until the oldest "
+        "queued request is this old (0 = dispatch to an idle worker at once, "
+        "the default; batches then form while every worker is busy)",
     )
     serve_parser.add_argument(
         "--client-rate",
@@ -743,7 +754,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="anti-starvation bound for the weighted-fair lanes: a queued "
         "request older than this is served next regardless of lane "
-        "(default: 10 flush intervals, floored at 50 ms)",
+        "(default: 50 ms, or 10 hold intervals if --flush-interval sets a "
+        "longer hold)",
     )
     serve_parser.add_argument(
         "--fault-spec",

@@ -25,6 +25,7 @@ from repro.serving.batcher import (
     FLUSH_ATOMS,
     FLUSH_CLOSE,
     FLUSH_GRAPHS,
+    FLUSH_IDLE,
     FLUSH_TIMEOUT,
     LANE_WEIGHTS,
     LANES,
@@ -69,6 +70,7 @@ __all__ = [
     "FLUSH_ATOMS",
     "FLUSH_CLOSE",
     "FLUSH_GRAPHS",
+    "FLUSH_IDLE",
     "FLUSH_TIMEOUT",
     "LANES",
     "LANE_WEIGHTS",

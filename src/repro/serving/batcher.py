@@ -1,23 +1,29 @@
-"""Dynamic micro-batching: queue requests, flush on budget or timeout.
+"""Dynamic micro-batching: dispatch to idle workers, batch while busy.
 
 The throughput of the fused inference path scales with batch size —
 collating K small structures into one disjoint-union graph amortizes
 per-call overhead across K structures — but serving traffic arrives one
 structure at a time.  The :class:`MicroBatcher` bridges the two: client
-requests accumulate in an ordered queue, and a batch is released to a
-worker when either
+requests accumulate in an ordered queue, and workers pull batches from
+it.  A worker calling :meth:`MicroBatcher.next_batch` is an idle worker,
+so the queue is **work-conserving**: a batch is released as soon as
+anything is queued, holding whatever arrived while every worker was
+busy ("batch while busy").  No request waits while a worker is free,
+and batches still grow under load.  Each batch is capped by
 
-- the **atom budget** is met (``pending atoms >= max_atoms``, the knob
-  that bounds peak activation memory per forward), or
-- the **graph budget** is met (``pending graphs >= max_graphs``), or
-- the **timeout tick** fires (the oldest request has waited
-  ``flush_interval_s``) — the latency guarantee for a trickle of
-  traffic that never fills a budget.
+- the **atom budget** (``max_atoms``, the knob that bounds peak
+  activation memory per forward), and
+- the **graph budget** (``max_graphs``);
 
-This is the same flush discipline GPU inference servers use (max batch
-size + queue delay); atoms-not-graphs as the primary budget is what a
-variable-size graph workload needs, since forward cost tracks nodes and
-edges, not graph count.
+a queue that already meets either budget flushes at once.  An optional
+**hold** (``flush_interval_s > 0``, off by default) makes an idle worker
+wait until the oldest request has queued that long, trading latency for
+fuller batches; it exists for callers that want a queue to stay full on
+purpose.
+
+Atoms-not-graphs as the primary budget is what a variable-size graph
+workload needs, since forward cost tracks nodes and edges, not graph
+count.
 
 **Priority lanes.**  The queue is split into three lanes —
 ``interactive``, ``bulk``, ``background`` — scheduled by weighted fair
@@ -145,7 +151,8 @@ class ServeRequest:
 #: Why a batch left the queue (recorded for telemetry/tests).
 FLUSH_ATOMS = "atoms_budget"
 FLUSH_GRAPHS = "graphs_budget"
-FLUSH_TIMEOUT = "timeout"
+FLUSH_TIMEOUT = "timeout"  # an opt-in hold (flush_interval_s > 0) elapsed
+FLUSH_IDLE = "idle"  # a free worker took the queue; no budget or hold applied
 FLUSH_CLOSE = "close"
 
 
@@ -173,13 +180,13 @@ def first_chunk_size(
 
 
 class MicroBatcher:
-    """Bounded accumulation queue with budget- and deadline-based flush."""
+    """Work-conserving request queue with budget-capped batches."""
 
     def __init__(
         self,
         max_atoms: int = 512,
         max_graphs: int = 64,
-        flush_interval_s: float = 0.005,
+        flush_interval_s: float = 0.0,
         max_pending: int = 0,
         lane_aging_s: float | None = None,
         workers: int = 1,
@@ -200,8 +207,8 @@ class MicroBatcher:
         self.flush_interval_s = float(flush_interval_s)
         self.max_pending = int(max_pending)
         #: A request older than this jumps the weighted-fair schedule —
-        #: the anti-starvation bound.  Defaults to 10 flush intervals
-        #: (floored at 50 ms so a zero flush interval keeps a real bound).
+        #: the anti-starvation bound.  Defaults to 50 ms, or 10 hold
+        #: intervals when an opt-in hold makes that longer.
         self.lane_aging_s = (
             float(lane_aging_s)
             if lane_aging_s is not None
@@ -233,48 +240,63 @@ class MicroBatcher:
     # ------------------------------------------------------------------
     def submit(self, request: ServeRequest) -> None:
         """Enqueue one request, or reject it if the queue is at capacity."""
-        if request.lane not in self._lanes:
-            raise ValueError(f"unknown lane {request.lane!r}; expected one of {LANES}")
+        self.submit_many([request])
+
+    def submit_many(self, requests: list[ServeRequest]) -> None:
+        """Enqueue requests in order under one lock hold, all or none.
+
+        An idle worker sees the whole list at once, so a multi-structure
+        request batches exactly as inline chunking would.  Each request
+        passes the admission checks in order, counting the requests
+        ahead of it in the list as queued; the first rejection raises
+        and leaves the queue untouched.
+        """
+        for request in requests:
+            if request.lane not in self._lanes:
+                raise ValueError(f"unknown lane {request.lane!r}; expected one of {LANES}")
         with self._cond:
             if self._closed:
                 raise RuntimeError("cannot submit to a closed MicroBatcher")
             now = time.monotonic()
-            if request.expired(now):
-                # Expired on arrival: reject before it occupies queue
-                # space a live request could use.
-                self.expired += 1
-                raise DeadlineExceeded(
-                    f"request {request.key[:12]} arrived past its deadline"
-                )
-            if self.max_pending and self._pending_count >= self.max_pending:
-                self.rejected += 1
-                raise ServiceOverloaded(
-                    f"pending queue full ({self._pending_count}/{self.max_pending} "
-                    "structures); retry later"
-                )
-            if request.deadline is not None:
-                # Predicted-wait shed: if the measured drain rate says the
-                # queue ahead of this request already outlives its
-                # deadline, fail now instead of discovering it at dequeue.
-                wait = self._estimated_wait_locked()
-                if wait > 0.0 and now + wait >= request.deadline:
-                    self.shed_predicted += 1
+            for ahead, request in enumerate(requests):
+                if request.expired(now):
+                    # Expired on arrival: reject before it occupies queue
+                    # space a live request could use.
                     self.expired += 1
                     raise DeadlineExceeded(
-                        f"request {request.key[:12]} predicted to wait {wait:.3f}s "
-                        "in the queue, past its deadline; shed at submit"
+                        f"request {request.key[:12]} arrived past its deadline"
                     )
-            lane = self._lanes[request.lane]
-            if not lane:
-                # A lane waking from idle starts at the current virtual
-                # clock — it competes fairly from now, it does not cash
-                # in credit accumulated while empty.
-                self._virtual[request.lane] = max(
-                    self._virtual[request.lane], self._vtime
-                )
-            lane.append(request)
-            self._pending_count += 1
-            self._pending_atoms += request.n_atoms
+                pending = self._pending_count + ahead
+                if self.max_pending and pending >= self.max_pending:
+                    self.rejected += 1
+                    raise ServiceOverloaded(
+                        f"pending queue full ({pending}/{self.max_pending} "
+                        "structures); retry later"
+                    )
+                if request.deadline is not None:
+                    # Predicted-wait shed: if the measured drain rate says
+                    # the queue ahead of this request already outlives its
+                    # deadline, fail now instead of discovering it at dequeue.
+                    wait = self._estimated_wait_locked(ahead)
+                    if wait > 0.0 and now + wait >= request.deadline:
+                        self.shed_predicted += 1
+                        self.expired += 1
+                        raise DeadlineExceeded(
+                            f"request {request.key[:12]} predicted to wait {wait:.3f}s "
+                            "in the queue, past its deadline; shed at submit"
+                        )
+            for request in requests:
+                lane = self._lanes[request.lane]
+                if not lane:
+                    # A lane waking from idle starts at the current virtual
+                    # clock — it competes fairly from now, it does not cash
+                    # in credit accumulated while empty.
+                    self._virtual[request.lane] = max(
+                        self._virtual[request.lane], self._vtime
+                    )
+                lane.append(request)
+                self._pending_count += 1
+                self._pending_atoms += request.n_atoms
             self._cond.notify_all()
 
     def close(self) -> None:
@@ -310,10 +332,12 @@ class MicroBatcher:
             else:
                 self._per_graph_s = 0.7 * self._per_graph_s + 0.3 * per_graph
 
-    def _estimated_wait_locked(self) -> float:
-        if self._per_graph_s is None or not self._pending_count:
+    def _estimated_wait_locked(self, ahead: int = 0) -> float:
+        """Predicted wait behind the queue plus ``ahead`` more requests."""
+        pending = self._pending_count + ahead
+        if self._per_graph_s is None or not pending:
             return 0.0
-        return self._pending_count * self._per_graph_s / max(1, self.workers)
+        return pending * self._per_graph_s / max(1, self.workers)
 
     @property
     def estimated_wait_s(self) -> float:
@@ -339,6 +363,8 @@ class MicroBatcher:
             return FLUSH_ATOMS
         if self._pending_count >= self.max_graphs:
             return FLUSH_GRAPHS
+        if not self.flush_interval_s:
+            return FLUSH_IDLE  # the caller is an idle worker: no hold
         oldest = self._oldest_submitted_locked()
         if oldest is not None and now - oldest >= self.flush_interval_s:
             return FLUSH_TIMEOUT
@@ -443,7 +469,8 @@ class MicroBatcher:
                 if self._closed and not self._pending_count:
                     return None
                 if self._pending_count:
-                    # Sleep exactly until the oldest request's deadline.
+                    # Only an opt-in hold gets here: sleep exactly until
+                    # the oldest request's hold expires.
                     oldest = self._oldest_submitted_locked()
                     deadline = oldest + self.flush_interval_s
                     self._cond.wait(timeout=max(0.0, deadline - now))

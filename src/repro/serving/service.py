@@ -7,7 +7,8 @@
    looked up in the :class:`ResultCache`; a hit returns immediately
    without touching the model.
 2. **Micro-batch** — misses are enqueued into a :class:`MicroBatcher`,
-   which releases batches on an atom/graph budget or a timeout tick.
+   which hands an idle worker everything queued, capped by the
+   atom/graph budgets, so batches form while the workers are busy.
 3. **Execute** — a worker collates the batch into one disjoint-union
    :class:`GraphBatch` and runs :meth:`HydraModel.serve` (the zero-
    ``Function``-node ``no_grad`` fast path) under a shared
@@ -89,7 +90,10 @@ class ServiceConfig:
 
     max_atoms: int = 512  # micro-batch atom budget (bounds forward memory)
     max_graphs: int = 64  # micro-batch graph budget
-    flush_interval_s: float = 0.005  # latency bound for trickle traffic
+    #: Opt-in batching hold: an idle worker waits until the oldest queued
+    #: request is this old.  0 (the default) dispatches to an idle worker
+    #: at once, so batches form only while every worker is busy.
+    flush_interval_s: float = 0.0
     cache_capacity: int = 4096  # LRU entries; <=0 disables caching
     hash_decimals: int | None = None  # optional coordinate rounding for keys
     request_timeout_s: float = 30.0  # client-side wait bound in served mode
@@ -131,7 +135,7 @@ class ServiceConfig:
     brownout_dwell_s: float = 0.25
     #: Anti-starvation bound for the batcher's weighted-fair lanes: a
     #: request older than this is served next regardless of lane.
-    #: ``None`` derives 10 flush intervals (floored at 50 ms).
+    #: ``None`` means 50 ms (10 hold intervals if a hold makes that longer).
     lane_aging_s: float | None = None
 
 
@@ -329,6 +333,25 @@ class PredictionService:
         ``admit=False`` is the internal bypass for force evaluations
         inside an already-admitted relax/MD session.
         """
+        return self.submit_many(
+            [graph], deadline=deadline, lane=lane, client_id=client_id, admit=admit
+        )[0]
+
+    def submit_many(
+        self,
+        graphs: list[AtomGraph],
+        deadline: float | None = None,
+        lane: str = DEFAULT_LANE,
+        client_id: str | None = None,
+        admit: bool = True,
+    ) -> list[ServeRequest]:
+        """Enqueue structures (served mode); handles in input order.
+
+        :meth:`submit` per structure, except that the cache misses enter
+        the batcher together (:meth:`MicroBatcher.submit_many`), so an
+        idle worker batches them exactly as inline ``predict_many``
+        chunks them.  A rejection raises with none of the misses queued.
+        """
         # Capture the batcher once: a concurrent stop() nulls the
         # attribute, and the capture turns that race into the clean
         # RuntimeError below (or the batcher's own closed error) instead
@@ -336,30 +359,40 @@ class PredictionService:
         batcher = self._batcher
         if batcher is None:
             raise RuntimeError("submit() requires a started service; use predict()")
-        lease = self.admission.admit(client_id, lane) if admit else None
+        requests: list[ServeRequest] = []
+        misses: list[ServeRequest] = []
         try:
-            key = structure_hash(graph, self.config.hash_decimals)
-            request = ServeRequest(
-                graph=graph, key=key, deadline=deadline, lane=lane, client_id=client_id
-            )
-            payload = self.cache.get(key)
-            if payload is not None:
-                # A hit is instant — it beats any deadline that hasn't
-                # already passed at the transport layer.  The rate bucket
-                # was charged above; only the concurrency slot frees now.
-                if lease is not None:
-                    lease.release()
-                request.resolve(self._hit_result(key, graph, payload))
-                self.stats.record_request(latency_s=0.0, cached=True, batch_graphs=1)
-                return request
-            if lease is not None:
-                request.on_done = lease.release
-            batcher.submit(request)
-            return request
-        except BaseException:
-            if lease is not None:
-                lease.release()
+            for graph in graphs:
+                key = structure_hash(graph, self.config.hash_decimals)
+                lease = self.admission.admit(client_id, lane) if admit else None
+                request = ServeRequest(
+                    graph=graph,
+                    key=key,
+                    deadline=deadline,
+                    lane=lane,
+                    client_id=client_id,
+                    on_done=lease.release if lease is not None else None,
+                )
+                requests.append(request)
+                payload = self.cache.get(key)
+                if payload is not None:
+                    # A hit is instant — it beats any deadline that hasn't
+                    # already passed at the transport layer.  The rate
+                    # bucket was charged above; resolving frees the
+                    # concurrency slot now.
+                    request.resolve(self._hit_result(key, graph, payload))
+                    self.stats.record_request(latency_s=0.0, cached=True, batch_graphs=1)
+                else:
+                    misses.append(request)
+            if misses:
+                batcher.submit_many(misses)
+        except BaseException as error:
+            # Nothing was queued; failing the handles frees their slots.
+            for request in requests:
+                if not request.done():
+                    request.fail(error)
             raise
+        return requests
 
     def predict(
         self,
@@ -393,10 +426,9 @@ class PredictionService:
         chunk boundaries inline.
         """
         if self.running:
-            requests = [
-                self.submit(graph, deadline=deadline, lane=lane, client_id=client_id)
-                for graph in graphs
-            ]
+            requests = self.submit_many(
+                graphs, deadline=deadline, lane=lane, client_id=client_id
+            )
             return [request.wait(self.config.request_timeout_s) for request in requests]
 
         results: list[PredictionResult | None] = [None] * len(graphs)

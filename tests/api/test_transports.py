@@ -330,6 +330,17 @@ class TestHttpResilience:
         advertised = float(headers[DEADLINE_HEADER])
         assert 0.0 < advertised <= 5000.0
 
+    def test_deadline_header_rounds_a_sliver_up(self, monkeypatch):
+        # 10 us of budget must go out as the header's smallest valid
+        # value, never as "0.0", which the server rejects as malformed.
+        from repro.api import client as client_module
+
+        monkeypatch.setattr(client_module.time, "monotonic", lambda: 100.0)
+        headers = client_module._stamp_deadline({}, 100.0 + 1e-5, "POST /v1/md")
+        assert headers[DEADLINE_HEADER] == "0.1"
+        with pytest.raises(DeadlineExceededError):
+            client_module._stamp_deadline({}, 100.0, "POST /v1/md")
+
     def test_deadline_expires_client_side_during_backoff(self):
         """When the budget cannot survive the backoff sleep, the client
         raises the typed deadline error instead of burning a doomed

@@ -1,5 +1,6 @@
-"""Micro-batcher flush discipline: budgets, timeout tick, drain."""
+"""Micro-batcher flush discipline: idle dispatch, budgets, hold, drain."""
 
+import sys
 import threading
 import time
 
@@ -8,6 +9,7 @@ import pytest
 from repro.serving import (
     FLUSH_ATOMS,
     FLUSH_GRAPHS,
+    FLUSH_IDLE,
     FLUSH_TIMEOUT,
     MicroBatcher,
     ServeRequest,
@@ -42,6 +44,95 @@ def test_graph_budget_flush_keeps_fifo_order():
     assert [r.key for r in batcher.next_batch()] == ["0", "1"]
     assert [r.key for r in batcher.next_batch()] == ["2", "3"]
     assert batcher.flush_reasons[FLUSH_GRAPHS] == 2
+
+
+def test_default_dispatches_to_idle_worker():
+    # Default config: no hold, so a consumer already blocked in
+    # next_batch() takes a lone request as a batch of one at once.
+    batcher = MicroBatcher()
+    assert batcher.flush_interval_s == 0.0
+    assert batcher.lane_aging_s == 0.05
+    received = []
+    thread = threading.Thread(target=lambda: received.append(batcher.next_batch()))
+    thread.start()
+    time.sleep(0.02)  # let the consumer block on an empty queue
+    request = _requests(1)[0]
+    batcher.submit(request)
+    thread.join(timeout=5.0)
+    assert not thread.is_alive()
+    assert received == [[request]]
+    assert batcher.flush_reasons == {FLUSH_IDLE: 1}
+
+
+def test_submit_many_is_one_batch_for_an_idle_worker():
+    # The whole list is visible at once, so the idle worker's batch is
+    # the budget-capped prefix inline chunking would form.
+    requests = _requests(5)
+    batcher = MicroBatcher(max_atoms=10**9, max_graphs=3)
+    batcher.submit_many(requests)
+    assert [r.key for r in batcher.next_batch()] == ["0", "1", "2"]
+    assert [r.key for r in batcher.next_batch()] == ["3", "4"]
+    assert batcher.flush_reasons == {FLUSH_GRAPHS: 1, FLUSH_IDLE: 1}
+
+
+def test_submit_many_is_all_or_nothing_in_order():
+    requests = _requests(4)
+    batcher = MicroBatcher(max_atoms=10**9, max_graphs=100, max_pending=3)
+    batcher.submit(requests[0])
+    # requests[1] and [2] would fit; [3] is past the bound once the two
+    # ahead of it in the list count as queued.
+    with pytest.raises(ServiceOverloaded, match=r"queue full \(3/3"):
+        batcher.submit_many(requests[1:])
+    assert batcher.pending_graphs == 1
+    assert batcher.rejected == 1
+    assert not any(r.done() for r in requests)
+    batcher.submit_many(requests[1:3])
+    assert batcher.pending_graphs == 3
+
+
+def test_concurrent_submit_many_delivers_each_request_once():
+    # More producers and consumers than cores, with a short switch
+    # interval: every admitted request reaches exactly one batch, and a
+    # rejected list leaves nothing behind in the queue counters.
+    requests = _requests(240)
+    lists = [requests[i : i + 1 + i % 5] for i in range(0, 240, 6)]
+    batcher = MicroBatcher(max_atoms=10**9, max_graphs=4, max_pending=8)
+    admitted, served = [], []
+    lock = threading.Lock()
+
+    def produce(own):
+        for chunk in own:
+            try:
+                batcher.submit_many(chunk)
+            except ServiceOverloaded:
+                continue
+            with lock:
+                admitted.extend(chunk)
+
+    def consume():
+        while (batch := batcher.next_batch()) is not None:
+            with lock:
+                served.extend(batch)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        consumers = [threading.Thread(target=consume) for _ in range(4)]
+        producers = [threading.Thread(target=produce, args=(lists[i::4],)) for i in range(4)]
+        for thread in consumers + producers:
+            thread.start()
+        for thread in producers:
+            thread.join(timeout=30.0)
+        batcher.close()
+        for thread in consumers:
+            thread.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in consumers + producers)
+    assert sorted(r.key for r in served) == sorted(r.key for r in admitted)
+    assert len({id(r) for r in served}) == len(served)
+    assert batcher.pending_graphs == 0
+    assert batcher.pending_atoms == 0
 
 
 def test_timeout_tick_flushes_partial_batch():

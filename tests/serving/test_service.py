@@ -1,11 +1,20 @@
 """End-to-end PredictionService: parity, dedup, caching, workers."""
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro.graph.batch import collate
 from repro.models import HydraModel, ModelConfig
-from repro.serving import PredictionService, ServiceConfig
+from repro.serving import (
+    FLUSH_ATOMS,
+    FLUSH_IDLE,
+    PredictionService,
+    QuotaExceeded,
+    ServiceConfig,
+)
+from repro.serving.batcher import first_chunk_size
 from repro.tensor import function_nodes_created
 from tests.helpers import make_molecule_graphs, make_periodic_graphs
 
@@ -130,6 +139,58 @@ class TestServed:
         for request in pending:
             assert request.done()
         assert not service.running
+
+    def test_default_batches_only_while_busy(self, model):
+        # One worker, default config (no hold).  The first request goes
+        # out alone; its forward is held, and everything submitted
+        # meanwhile leaves as budget-capped batches once the worker
+        # frees — load does not fall back to K=1 forwards.
+        graphs = make_molecule_graphs(6, seed=31)
+        max_atoms = sum(g.n_atoms for g in graphs[1:4])
+        service = PredictionService(model, ServiceConfig(max_atoms=max_atoms))
+        assert service.config.flush_interval_s == 0.0
+        started, release = threading.Event(), threading.Event()
+        batches = []
+        execute = service._execute
+
+        def held_execute(batch):
+            batches.append([r.key for r in batch])
+            started.set()
+            assert release.wait(10.0)
+            execute(batch)
+
+        service._execute = held_execute
+        with service.start(workers=1):
+            first = service.submit(graphs[0])
+            assert started.wait(10.0)
+            queued = [service.submit(g) for g in graphs[1:]]
+            release.set()
+            for request in [first, *queued]:
+                request.wait(10.0)
+        size = first_chunk_size(queued, max_atoms, service.config.max_graphs)
+        assert size == 3
+        assert batches == [
+            [first.key],
+            [r.key for r in queued[:size]],
+            [r.key for r in queued[size:]],
+        ]
+        reasons = service.telemetry()["batching"]["flush_reasons"]
+        assert reasons == {FLUSH_IDLE: 2, FLUSH_ATOMS: 1}
+
+    def test_rejected_submit_many_queues_nothing_and_frees_slots(self, model):
+        # A concurrency quota of 2 rejects the third structure of one
+        # call; the first two are not queued and their slots come back.
+        graphs = make_molecule_graphs(3, seed=32)
+        service = PredictionService(
+            model, ServiceConfig(client_concurrency=2, flush_interval_s=60.0)
+        )
+        with service.start(workers=1):
+            with pytest.raises(QuotaExceeded):
+                service.submit_many(graphs, client_id="a")
+            assert service._batcher.pending_graphs == 0
+            pending = service.submit_many(graphs[:2], client_id="a")
+            assert service._batcher.pending_graphs == 2
+        assert all(request.done() for request in pending)
 
     def test_start_twice_rejected(self, model):
         service = PredictionService(model)
