@@ -15,6 +15,10 @@ from scipy import optimize
 
 from repro.tensor.rng import rng as make_rng
 
+# Exponents searched by ``fit_power_law``; a bounded refinement around the
+# best grid point supplies the precision.
+_ALPHA_GRID = np.linspace(-2.0, 4.0, 121)
+
 
 @dataclass(frozen=True)
 class PowerLawFit:
@@ -47,9 +51,12 @@ def _r_squared(y: np.ndarray, predicted: np.ndarray) -> float:
 def fit_power_law(x, y, floor: bool = True) -> PowerLawFit:
     """Least-squares fit of a (floored) power law.
 
-    Positivity of ``a`` and ``c`` is enforced through an exp/softplus
-    parameterization; several restarts guard against local minima (the
-    loss surface in (alpha, log a) is mildly multimodal).
+    For a fixed exponent the model is linear in ``a`` and ``c``, so those
+    come from a non-negative least-squares solve (which also enforces their
+    positivity) and only ``alpha`` is searched: a coarse grid picks the
+    basin, a bounded scalar minimization refines it.  This finds the global
+    optimum even when the floor sits right under the data, where a joint
+    search over all three parameters stalls.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -60,29 +67,30 @@ def fit_power_law(x, y, floor: bool = True) -> PowerLawFit:
     if (x <= 0).any():
         raise ValueError("x must be positive")
 
-    c_floor = float(max(y.min() * 0.5, 1e-12)) if floor else 0.0
+    # Scaling x by its minimum pins the power-law column to 1 at the
+    # smallest x, comparable to the constant column, whatever the span of x.
+    x_rel = x / x.min()
 
-    def model(params: np.ndarray) -> np.ndarray:
-        log_a, alpha, raw_c = params
-        c = c_floor * (1.0 / (1.0 + np.exp(-raw_c))) * 2.0 if floor else 0.0
-        return np.exp(log_a) * x**-alpha + c
+    def solve(alpha: float) -> tuple[np.ndarray, float]:
+        basis = x_rel**-alpha
+        design = np.column_stack([basis, np.ones_like(x)]) if floor else basis[:, None]
+        coef, residual_norm = optimize.nnls(design, y)
+        return coef, residual_norm**2
 
-    def objective(params: np.ndarray) -> float:
-        return float(((model(params) - y) ** 2).sum())
-
-    best = None
-    spread = float(y.max() - y.min())
-    for alpha0 in (0.05, 0.1, 0.3, 0.6):
-        start = np.array([np.log(max(spread, 1e-6) * x.min() ** alpha0), alpha0, 0.0])
-        result = optimize.minimize(objective, start, method="Nelder-Mead",
-                                   options={"maxiter": 4000, "xatol": 1e-10, "fatol": 1e-14})
-        if best is None or result.fun < best.fun:
-            best = result
-    log_a, alpha, raw_c = best.x
-    c = c_floor * (1.0 / (1.0 + np.exp(-raw_c))) * 2.0 if floor else 0.0
-    fit = PowerLawFit(float(np.exp(log_a)), float(alpha), float(c), 0.0)
-    predicted = fit.predict(x)
-    return PowerLawFit(fit.a, fit.alpha, fit.c, _r_squared(y, predicted))
+    grid = _ALPHA_GRID
+    losses = [solve(alpha)[1] for alpha in grid]
+    i = int(np.argmin(losses))
+    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
+    refined = optimize.minimize_scalar(
+        lambda alpha: solve(alpha)[1], bounds=(lo, hi), method="bounded",
+        options={"xatol": 1e-10},
+    )
+    alpha = float(refined.x) if refined.fun <= losses[i] else float(grid[i])
+    coef, _ = solve(alpha)
+    a = float(coef[0]) * x.min() ** alpha
+    c = float(coef[1]) if floor else 0.0
+    fit = PowerLawFit(a, alpha, c, 0.0)
+    return PowerLawFit(a, alpha, c, _r_squared(y, fit.predict(x)))
 
 
 def bootstrap_exponent(

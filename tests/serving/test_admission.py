@@ -452,21 +452,27 @@ class TestBrownoutPulse:
         )
         try:
             service = gateway.warm()
-            graphs = make_molecule_graphs(8, seed=6)
+            # Distinct structures per flood thread: duplicates would be
+            # served by the dedupe/cache path without a forward, leaving a
+            # pulse too shallow to push queue age past the threshold.
+            graphs = make_molecule_graphs(48, seed=6)
             payload = [StructurePayload.from_graph(g) for g in graphs]
 
-            def flood():
+            def flood(chunk):
                 for _ in range(4):
                     try:
                         gateway.predict(
-                            PredictRequest(structures=list(payload), priority="bulk")
+                            PredictRequest(structures=list(chunk), priority="bulk")
                         )
                     except OverloadedError:
                         # Escalation to shed_bulk throttles the flood
                         # itself — retryable by contract, expected here.
                         time.sleep(0.01)
 
-            threads = [threading.Thread(target=flood) for _ in range(6)]
+            threads = [
+                threading.Thread(target=flood, args=(payload[8 * i : 8 * i + 8],))
+                for i in range(6)
+            ]
             for thread in threads:
                 thread.start()
             probe = PredictRequest(structures=[payload[0]], priority="background")
