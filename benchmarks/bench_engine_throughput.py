@@ -14,11 +14,10 @@ Two comparisons guard the kernel-dispatch layer:
 """
 
 import os
-import time
 
 import numpy as np
 
-from _shared import write_result
+from _shared import best_of, best_of_interleaved, write_result
 from repro.data import Normalizer, generate_corpus
 from repro.graph.batch import collate
 from repro.models import HydraModel, ModelConfig
@@ -65,32 +64,6 @@ def _workload(width: int, checkpoint: bool = False, fused: bool = True, pool: bo
     return run
 
 
-def _best_of(fn, rounds: int = 3) -> float:
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def _best_of_interleaved(fn_a, fn_b, rounds: int = 3) -> tuple[float, float]:
-    """Best-of timings with a/b alternating each round.
-
-    Interleaving means a sustained load spike on a shared machine hits
-    both sides instead of biasing whichever ran second.
-    """
-    best_a = best_b = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        fn_a()
-        best_a = min(best_a, time.perf_counter() - start)
-        start = time.perf_counter()
-        fn_b()
-        best_b = min(best_b, time.perf_counter() - start)
-    return best_a, best_b
-
-
 def bench_train_step_width64(benchmark):
     step = _workload(64)
     step()  # warm-up (allocates Adam state)
@@ -134,7 +107,7 @@ def bench_fused_vs_unfused_width128(benchmark):
     fused_loss = fused()  # warm-up: Adam state, pool population, caches
     unfused_loss = unfused()
     assert abs(fused_loss - unfused_loss) < 1e-5, "fused and unfused steps diverged"
-    t_unfused, t_fused = _best_of_interleaved(unfused, fused)
+    t_unfused, t_fused = best_of_interleaved(unfused, fused)
     speedup = t_unfused / t_fused
     text = (
         "engine_fused_vs_unfused_width128\n"
@@ -167,8 +140,8 @@ def bench_inference_vs_train_width128(benchmark):
 
     train = _workload(128)
     train()
-    t_train = _best_of(train)
-    t_infer = _best_of(forward)
+    t_train = best_of(train)
+    t_infer = best_of(forward)
     text = (
         "engine_train_vs_inference_width128\n"
         f"train step (fwd+bwd+opt) : {t_train * 1e3:8.1f} ms\n"

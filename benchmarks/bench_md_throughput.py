@@ -19,13 +19,12 @@ Numbers merge into ``benchmarks/results/BENCH_md.json`` (uploaded as a
 CI artifact next to the other bench trajectories).
 """
 
-import json
 import os
 import time
 
 import numpy as np
 
-from _shared import RESULTS_DIR, write_result
+from _shared import RESULTS_DIR, merge_json, write_result
 from repro.graph.atoms import AtomGraph
 from repro.models import HydraModel, ModelConfig
 from repro.serving import MDSettings, PredictionService, ServiceConfig, run_md
@@ -55,16 +54,6 @@ _CELL = np.array(
     ]
 )
 _PBC = (True, True, True)
-
-
-def _merge_json(update: dict) -> None:
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    payload = {}
-    if _JSON_PATH.exists():
-        payload = json.loads(_JSON_PATH.read_text())
-    payload.update(update)
-    payload["floor"] = _FLOOR
-    _JSON_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _make_graph() -> AtomGraph:
@@ -148,7 +137,8 @@ def bench_md_throughput(benchmark):
         f"{result.neighbor_reuses} reuses ({reuse_rate:.0%} reuse)"
     )
     write_result("md_throughput", text)
-    _merge_json(
+    merge_json(
+        _JSON_PATH,
         {
             "steps_per_s_rebuild": round(1.0 / rebuilt_s, 1),
             "steps_per_s_skin": round(1.0 / skinned_s, 1),
@@ -160,7 +150,8 @@ def bench_md_throughput(benchmark):
             "neighbor_reuses": result.neighbor_reuses,
             "reuse_rate": round(reuse_rate, 4),
             "bit_identical_across_skins": True,
-        }
+        },
+        floor=_FLOOR,
     )
     assert speedup >= _FLOOR, (
         f"skin reuse only {speedup:.2f}x over per-step rebuilds "

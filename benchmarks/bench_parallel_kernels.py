@@ -29,11 +29,10 @@ regression trajectory).
 import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 
-from _shared import RESULTS_DIR, write_result
+from _shared import RESULTS_DIR, best_of, merge_json, usable_cores, write_result
 from repro.data import generate_corpus
 from repro.models import HydraModel, ModelConfig
 from repro.serving import PredictionService, ServiceConfig
@@ -55,38 +54,18 @@ _NODES = 12_000
 _WIDTH = 128
 
 
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
-
-
 def _multicore() -> bool:
-    return _usable_cores() >= 2 and parallel.worker_count() >= 2
+    return usable_cores() >= 2 and parallel.worker_count() >= 2
 
 
-def _merge_json(update: dict) -> Path:
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    payload = {}
-    if _JSON_PATH.exists():
-        payload = json.loads(_JSON_PATH.read_text())
-    payload.update(update)
-    payload["floor"] = _FLOOR
-    payload["enforced_axes"] = list(_AXES)
-    payload["usable_cores"] = _usable_cores()
-    payload["parallel_workers"] = parallel.worker_count()
-    _JSON_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return _JSON_PATH
-
-
-def _best_of(fn, rounds: int = 3) -> float:
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+def _host_fields() -> dict:
+    """What every write to the JSON artifact re-stamps."""
+    return {
+        "floor": _FLOOR,
+        "enforced_axes": list(_AXES),
+        "usable_cores": usable_cores(),
+        "parallel_workers": parallel.worker_count(),
+    }
 
 
 def _assert_floor(axis: str, speedup: float) -> None:
@@ -97,11 +76,11 @@ def _assert_floor(axis: str, speedup: float) -> None:
         # A 1-core host cannot express thread-level speedup; the JSON
         # records the measurement and the skip reason instead of a
         # meaningless assertion.
-        print(f"[{axis}] floor not enforced: {_usable_cores()} usable core(s)")
+        print(f"[{axis}] floor not enforced: {usable_cores()} usable core(s)")
         return
     assert speedup >= _FLOOR, (
         f"parallel {axis} axis only {speedup:.2f}x vs numpy "
-        f"(required >= {_FLOOR}x on {_usable_cores()} cores)"
+        f"(required >= {_FLOOR}x on {usable_cores()} cores)"
     )
 
 
@@ -136,8 +115,8 @@ def bench_parallel_kernel_speedup(benchmark):
         parallel_impl = kernels.get_kernel(name, "parallel")
         call(numpy_impl)  # warm caches (incidence matrices, executor)
         call(parallel_impl)
-        t_numpy = _best_of(lambda: call(numpy_impl))
-        t_parallel = _best_of(lambda: call(parallel_impl))
+        t_numpy = best_of(lambda: call(numpy_impl))
+        t_parallel = best_of(lambda: call(parallel_impl))
         speedup = t_numpy / t_parallel
         per_kernel[name] = {
             "numpy_ms": round(t_numpy * 1e3, 3),
@@ -158,12 +137,14 @@ def bench_parallel_kernel_speedup(benchmark):
         )
     lines.append(f"best axis speedup     : {best_speedup:5.2f}x ({best_name})")
     write_result("parallel_kernels", "\n".join(lines))
-    _merge_json(
+    merge_json(
+        _JSON_PATH,
         {
             "kernels": per_kernel,
             "kernel_axis_speedup": round(best_speedup, 3),
             "kernel_axis_best": best_name,
-        }
+        },
+        **_host_fields(),
     )
     _assert_floor("kernels", best_speedup)
     benchmark(lambda: cases["silu"](kernels.get_kernel("silu", "parallel")))
@@ -216,15 +197,17 @@ def bench_concurrent_serving_scaling(benchmark):
         f"workers=1 : {best_1 * 1e3:8.1f} ms ({sps_1:8.1f} structures/s)\n"
         f"workers=4 : {best_4 * 1e3:8.1f} ms ({sps_4:8.1f} structures/s)\n"
         f"scaling   : {speedup:8.2f}x (floor {_FLOOR}x on "
-        f"{_usable_cores()} usable cores)"
+        f"{usable_cores()} usable cores)"
     )
     write_result("parallel_serving_scaling", text)
-    _merge_json(
+    merge_json(
+        _JSON_PATH,
         {
             "serving_axis_speedup": round(speedup, 3),
             "serving_workers1_structures_per_s": round(sps_1, 1),
             "serving_workers4_structures_per_s": round(sps_4, 1),
-        }
+        },
+        **_host_fields(),
     )
     _assert_floor("serving", speedup)
 

@@ -18,13 +18,12 @@ Numbers merge into ``benchmarks/results/BENCH_plan.json`` (uploaded as
 a CI artifact next to the serving/parallel trajectories).
 """
 
-import json
 import os
 import time
 
 import numpy as np
 
-from _shared import RESULTS_DIR, write_result
+from _shared import RESULTS_DIR, merge_json, write_result
 from repro.graph.batch import collate
 from repro.models import HydraModel, ModelConfig
 from repro.tensor.allocator import BufferPool, use_pool
@@ -37,16 +36,6 @@ _JSON_PATH = RESULTS_DIR / "BENCH_plan.json"
 _STRUCTURES = 8
 _WIDTH = 32
 _LAYERS = 3
-
-
-def _merge_json(update: dict) -> None:
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    payload = {}
-    if _JSON_PATH.exists():
-        payload = json.loads(_JSON_PATH.read_text())
-    payload.update(update)
-    payload["floor"] = _FLOOR
-    _JSON_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _molecules(count: int, seed: int) -> list:
@@ -99,7 +88,8 @@ def bench_plan_replay_speedup(benchmark):
         f"{stats.hits} hits / {stats.misses} misses"
     )
     write_result("plan_replay", text)
-    _merge_json(
+    merge_json(
+        _JSON_PATH,
         {
             "unplanned_us_per_forward": round(unplanned_s * 1e6, 2),
             "planned_us_per_forward": round(planned_s * 1e6, 2),
@@ -109,7 +99,8 @@ def bench_plan_replay_speedup(benchmark):
             "plans_compiled": stats.compiled,
             "plan_hits": stats.hits,
             "plan_misses": stats.misses,
-        }
+        },
+        floor=_FLOOR,
     )
     # Deterministic dispatch removal: asserted unconditionally, unlike
     # the core-count-gated parallelism floors.
@@ -142,5 +133,5 @@ def bench_plan_bit_exactness(benchmark):
         f"plan_bit_exactness: {checked} batches replayed bit-identically "
         "(molecular + collated + periodic)",
     )
-    _merge_json({"bit_exact_batches": checked})
+    merge_json(_JSON_PATH, {"bit_exact_batches": checked}, floor=_FLOOR)
     benchmark(lambda: model.serve(cases[0], plan=True))

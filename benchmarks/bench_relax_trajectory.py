@@ -20,13 +20,12 @@ Numbers merge into ``benchmarks/results/BENCH_relax.json`` (uploaded as
 a CI artifact next to the serving/parallel/plan/replica trajectories).
 """
 
-import json
 import os
 import time
 
 import numpy as np
 
-from _shared import RESULTS_DIR, write_result
+from _shared import RESULTS_DIR, merge_json, write_result
 from repro.graph.radius import SkinNeighborList, build_edges, canonicalize_edges
 
 _FLOOR = float(os.environ.get("RELAX_SPEEDUP_FLOOR", "1.5"))
@@ -50,16 +49,6 @@ _CELL = np.array(
     ]
 )
 _PBC = (True, True, True)
-
-
-def _merge_json(update: dict) -> None:
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    payload = {}
-    if _JSON_PATH.exists():
-        payload = json.loads(_JSON_PATH.read_text())
-    payload.update(update)
-    payload["floor"] = _FLOOR
-    _JSON_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _displacement_stream(steps: int = _STEPS, seed: int = 0) -> list[np.ndarray]:
@@ -128,7 +117,8 @@ def bench_relax_trajectory_speedup(benchmark):
         f"({reuse_rate:.0%} reuse)"
     )
     write_result("relax_trajectory", text)
-    _merge_json(
+    merge_json(
+        _JSON_PATH,
         {
             "rebuild_us_per_step": round(rebuild_s * 1e6, 2),
             "incremental_us_per_step": round(incremental_s * 1e6, 2),
@@ -139,7 +129,8 @@ def bench_relax_trajectory_speedup(benchmark):
             "neighbor_rebuilds": nl.rebuilds,
             "neighbor_reuses": nl.reuses,
             "reuse_rate": round(reuse_rate, 4),
-        }
+        },
+        floor=_FLOOR,
     )
     assert speedup >= _FLOOR, (
         f"incremental neighbor lists only {speedup:.2f}x over per-step rebuilds "
@@ -181,12 +172,14 @@ def bench_relax_loop_convergence(benchmark):
         f"plan hits={plans['plan_hits']}, "
         f"neighbor reuse={relax['neighbor_reuses']}/{relax['steps']}",
     )
-    _merge_json(
+    merge_json(
+        _JSON_PATH,
         {
             "relax_steps": result.steps,
             "relax_reason": result.reason,
             "relax_converged": bool(result.converged),
             "relax_plan_hits": int(plans["plan_hits"]),
-        }
+        },
+        floor=_FLOOR,
     )
     benchmark(lambda: service.relax(graph, settings))

@@ -37,7 +37,7 @@ import urllib.request
 
 import numpy as np
 
-from _shared import RESULTS_DIR, write_result
+from _shared import RESULTS_DIR, usable_cores, write_result
 from repro.serving import ReplicaSpec, ReplicaSupervisor
 
 _FLOOR_4 = float(os.environ.get("REPLICA_SPEEDUP_FLOOR", "1.8"))
@@ -51,16 +51,9 @@ _WARMUP = 16  # per session: buffer pools, plan compiles, socket reuse
 _ATOMS = 48  # ~5 ms/forward on the tiny preset: dominates proxy overhead
 
 
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
-
-
 def _fleet_sizes() -> tuple[int, float, bool]:
     """``(n_replicas, floor, enforced)`` for this host's core budget."""
-    cores = _usable_cores()
+    cores = usable_cores()
     if cores >= 4:
         return 4, _FLOOR_4, True
     if cores >= 2:
@@ -153,7 +146,7 @@ def _session(replicas: int, cache_path: str, seed: int) -> float:
 def bench_replica_scaling(benchmark):
     """N replica processes vs 1 on the same closed-loop request stream."""
     replicas, floor, enforced = _fleet_sizes()
-    cores = _usable_cores()
+    cores = usable_cores()
     cache_path = os.path.join(
         tempfile.mkdtemp(prefix="repro-replica-bench-"), "autotune.json"
     )

@@ -17,14 +17,11 @@ so CI can upload one artifact and future PRs have a serving trajectory
 to regress against.
 """
 
-import json
 import os
-import time
-from pathlib import Path
 
 import numpy as np
 
-from _shared import RESULTS_DIR, write_result
+from _shared import RESULTS_DIR, best_of_interleaved, merge_json, write_result
 from repro.data import generate_corpus
 from repro.models import HydraModel, ModelConfig
 from repro.serving import PredictionService, ServiceConfig
@@ -58,29 +55,6 @@ def _workload() -> tuple[HydraModel, list]:
     return _workload_cache
 
 
-def _merge_json(update: dict) -> Path:
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    payload = {}
-    if _JSON_PATH.exists():
-        payload = json.loads(_JSON_PATH.read_text())
-    payload.update(update)
-    _JSON_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return _JSON_PATH
-
-
-def _best_of_interleaved(fn_a, fn_b, rounds: int = 3) -> tuple[float, float]:
-    """Best-of timings with a/b alternating each round (load-spike fair)."""
-    best_a = best_b = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        fn_a()
-        best_a = min(best_a, time.perf_counter() - start)
-        start = time.perf_counter()
-        fn_b()
-        best_b = min(best_b, time.perf_counter() - start)
-    return best_a, best_b
-
-
 def bench_dynamic_batching_speedup(benchmark):
     """Batched serving must be ≥3x single-structure predict throughput."""
     model, graphs = _workload()
@@ -102,7 +76,7 @@ def bench_dynamic_batching_speedup(benchmark):
 
     run_single()  # warm-up: pools, kernel caches
     run_batched()
-    t_single, t_batched = _best_of_interleaved(run_single, run_batched)
+    t_single, t_batched = best_of_interleaved(run_single, run_batched)
     speedup = t_single / t_batched
     sps_single = len(graphs) / t_single
     sps_batched = len(graphs) / t_batched
@@ -113,14 +87,15 @@ def bench_dynamic_batching_speedup(benchmark):
         f"speedup          : {speedup:8.2f}x (required >= {_SPEEDUP_FLOOR}x)"
     )
     write_result("serving_throughput", text)
-    _merge_json(
+    merge_json(
+        _JSON_PATH,
         {
             "batch_budget": _BATCH_BUDGET,
             "speedup": round(speedup, 3),
             "speedup_floor": _SPEEDUP_FLOOR,
             "single_structures_per_s": round(sps_single, 1),
             "batched_structures_per_s": round(sps_batched, 1),
-        }
+        },
     )
     assert speedup >= _SPEEDUP_FLOOR, f"dynamic batching only {speedup:.2f}x faster"
     benchmark(run_batched)
@@ -148,14 +123,15 @@ def bench_cached_serving_session(benchmark):
         f"throughput      : {summary.requests_per_s:8.1f} structures/s"
     )
     write_result("serving_cached_session", text)
-    _merge_json(
+    merge_json(
+        _JSON_PATH,
         {
             "session_requests": summary.requests,
             "cache_hit_rate": round(hit_rate, 4),
             "p50_latency_ms": round(summary.p50_latency_s * 1e3, 3),
             "p95_latency_ms": round(summary.p95_latency_s * 1e3, 3),
             "requests_per_s": round(summary.requests_per_s, 1),
-        }
+        },
     )
     expected = 2 / 3
     assert abs(hit_rate - expected) < 1e-6, f"hit rate {hit_rate} != {expected}"

@@ -15,7 +15,9 @@ tiny preset), then asserts the deployment contract end to end:
 5. a POSTed `/v1/md` (same second server) streams NDJSON: schema-valid
    `frame` lines in step order, ending with exactly one terminal
    `summary` line that parses as a schema-valid `MDResponse`,
-6. SIGTERM exits 0 through the graceful path and saves the autotune
+6. the same `/v1/md` check through `--replicas 1`: the router relays
+   the stream under the replica's `application/x-ndjson` content type,
+7. SIGTERM exits 0 through the graceful path and saves the autotune
    cache for the next replica.
 
 Run:  PYTHONPATH=src python benchmarks/smoke_http_api.py
@@ -104,6 +106,71 @@ def post_predict(base_url: str, structures: list[dict]):
         return response.status, json.loads(response.read())
 
 
+def wait_healthy(base_url: str) -> dict:
+    """Poll ``/v1/healthz`` until it answers ``status: ok`` (60 s budget)."""
+    deadline = time.monotonic() + 60
+    while True:
+        try:
+            with urllib.request.urlopen(base_url + "/v1/healthz", timeout=1) as resp:
+                health = json.loads(resp.read())
+            if health["status"] == "ok":
+                return health
+        except OSError:
+            pass
+        if time.monotonic() > deadline:
+            raise AssertionError(f"{base_url} never became healthy")
+        time.sleep(0.1)
+
+
+def check_md_stream(base_url: str) -> str:
+    """POST a 20-step /v1/md run; assert the NDJSON stream contract.
+
+    Schema-valid ``frame`` lines in step order under the
+    ``application/x-ndjson`` content type, ending in exactly one terminal
+    ``summary`` line.  Returns a one-line report.
+    """
+    request = urllib.request.Request(
+        base_url + "/v1/md",
+        data=json.dumps(
+            {
+                "schema_version": "v1",
+                "structure": WATER,
+                "n_steps": 20,
+                "timestep_fs": 0.5,
+                "thermostat": "langevin",
+                "temperature_k": 300.0,
+                "seed": 7,
+                "frame_interval": 5,
+            }
+        ).encode(),
+        headers={"Content-Type": "application/json"},
+    )
+    with urllib.request.urlopen(request, timeout=120) as resp:
+        assert resp.status == 200, resp.status
+        content_type = resp.headers["Content-Type"]
+        assert content_type == "application/x-ndjson", content_type
+        lines = [json.loads(line) for line in resp.read().splitlines()]
+    assert len(lines) >= 2, lines
+    assert all("frame" in line for line in lines[:-1]), lines
+    frames = [MDFramePayload.from_json_dict(line) for line in lines[:-1]]
+    assert [frame.step for frame in frames] == [0, 5, 10, 15, 20], frames
+    for frame in frames:  # strict schema check per streamed line
+        assert frame.positions.shape == (3, 3)
+        assert np.isfinite(frame.positions).all()
+        assert np.isfinite(frame.velocities).all()
+        assert math.isfinite(frame.energy)
+    assert "summary" in lines[-1], lines[-1]
+    md_summary = MDResponse.from_json_dict(lines[-1])  # strict schema check
+    assert md_summary.result.steps == 20, lines[-1]
+    assert md_summary.result.final_step == 20, lines[-1]
+    assert md_summary.result.thermostat == "langevin", lines[-1]
+    return (
+        f"streamed {len(frames)} frames over 20 langevin steps "
+        f"(T_final={md_summary.result.temperature_k:.0f}K, "
+        f"{md_summary.result.neighbor_reuses} neighbor-list reuses)"
+    )
+
+
 def main() -> int:
     cache_path = os.path.join(tempfile.mkdtemp(prefix="repro-smoke-"), "autotune.json")
     process, base_url = start_server(
@@ -111,17 +178,7 @@ def main() -> int:
     )
     try:
         # 1. Liveness.
-        deadline = time.monotonic() + 60
-        while True:
-            try:
-                with urllib.request.urlopen(base_url + "/v1/healthz", timeout=1) as resp:
-                    health = json.loads(resp.read())
-                    break
-            except OSError:
-                if time.monotonic() > deadline:
-                    raise
-                time.sleep(0.1)
-        assert health["status"] == "ok", health
+        health = wait_healthy(base_url)
         assert health["models"] == ["default"], health
         print(f"healthz ok at {base_url}")
 
@@ -192,51 +249,24 @@ def main() -> int:
 
             # 5. /v1/md -> a streamed NDJSON trajectory: schema-valid
             # frame lines in step order, one terminal summary line.
-            request = urllib.request.Request(
-                relax_url + "/v1/md",
-                data=json.dumps(
-                    {
-                        "schema_version": "v1",
-                        "structure": WATER,
-                        "n_steps": 20,
-                        "timestep_fs": 0.5,
-                        "thermostat": "langevin",
-                        "temperature_k": 300.0,
-                        "seed": 7,
-                        "frame_interval": 5,
-                    }
-                ).encode(),
-                headers={"Content-Type": "application/json"},
-            )
-            with urllib.request.urlopen(request, timeout=120) as resp:
-                assert resp.status == 200, resp.status
-                content_type = resp.headers["Content-Type"]
-                assert content_type == "application/x-ndjson", content_type
-                lines = [json.loads(line) for line in resp.read().splitlines()]
-            assert len(lines) >= 2, lines
-            assert all("frame" in line for line in lines[:-1]), lines
-            frames = [MDFramePayload.from_json_dict(line) for line in lines[:-1]]
-            assert [frame.step for frame in frames] == [0, 5, 10, 15, 20], frames
-            for frame in frames:  # strict schema check per streamed line
-                assert frame.positions.shape == (3, 3)
-                assert np.isfinite(frame.positions).all()
-                assert np.isfinite(frame.velocities).all()
-                assert math.isfinite(frame.energy)
-            assert "summary" in lines[-1], lines[-1]
-            md_summary = MDResponse.from_json_dict(lines[-1])  # strict schema check
-            assert md_summary.result.steps == 20, lines[-1]
-            assert md_summary.result.final_step == 20, lines[-1]
-            assert md_summary.result.thermostat == "langevin", lines[-1]
-            print(
-                f"md ok: streamed {len(frames)} frames over 20 langevin steps "
-                f"(T_final={md_summary.result.temperature_k:.0f}K, "
-                f"{md_summary.result.neighbor_reuses} neighbor-list reuses)"
-            )
+            print(f"md ok: {check_md_stream(relax_url)}")
         finally:
             relax_process.terminate()
             relax_process.communicate(timeout=60)
 
-        # 6. SIGTERM -> graceful exit 0 + autotune cache saved.
+        # 6. The same md stream through the replica router.
+        fleet_cache = os.path.join(tempfile.mkdtemp(prefix="repro-smoke-"), "autotune.json")
+        fleet_process, fleet_url = start_server(
+            fleet_cache, "--workers", "1", "--replicas", "1"
+        )
+        try:
+            wait_healthy(fleet_url)
+            print(f"md through the router ok: {check_md_stream(fleet_url)}")
+        finally:
+            fleet_process.terminate()
+            fleet_process.communicate(timeout=60)
+
+        # 7. SIGTERM -> graceful exit 0 + autotune cache saved.
         process.send_signal(signal.SIGTERM)
         out, _ = process.communicate(timeout=60)
         assert process.returncode == 0, (process.returncode, out)

@@ -650,10 +650,10 @@ class _ApiRequestHandler(BaseHTTPRequestHandler):
         """Stream MD frames as NDJSON; the last line is the verdict.
 
         No ``Content-Length`` — the stream's length is unknown up front,
-        so framing is read-to-EOF under ``Connection: close`` (which the
-        stdlib transport and the replica router's buffering proxy both
-        already handle).  Each line flushes as it is produced, so a
-        client watches frames arrive while the run integrates.  A typed
+        so framing is read-to-EOF under ``Connection: close``.  Each line
+        flushes as it is produced, so a client watches frames arrive
+        while the run integrates; the replica router relays the bytes as
+        they come, so the same holds behind ``--replicas``.  A typed
         error mid-run becomes a terminal ``error`` line: the 200 status
         is on the wire by then, and a missing summary/error line is how
         clients detect truncation.

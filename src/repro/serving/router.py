@@ -13,15 +13,20 @@ that plateau by running N *processes* (see
   over loopback TCP and relays the response bytes back.  The v1 wire
   schema **is** the inter-process protocol — no second serialization
   layer, and anything a replica can say to a client it can say through
-  the router (an md frame stream arrives buffered, re-framed with
-  ``Content-Length``; the client's line reader accepts both framings).
+  the router.  A response without ``Content-Length`` (the ``/v1/md``
+  NDJSON frame stream) is relayed as its bytes arrive, under the
+  replica's ``Content-Type``, so the first frame reaches the client
+  while the run is still integrating.
 - **Least-in-flight load balancing** with round-robin tie-breaking,
   skipping replicas that are unhealthy or draining.
 - **Rerouting.**  A connection-level failure (refused, reset, truncated)
   marks the replica unhealthy and retries the request on another one, so
   a crashed worker costs a few milliseconds, not a failed request.
   Timeouts are *not* rerouted — a slow model forward retried elsewhere
-  would double the load exactly when the fleet is slowest.
+  would double the load exactly when the fleet is slowest.  Nor is a
+  relayed stream once its head has gone out: the client sees the same
+  truncation it would see from the replica directly, and resumes from
+  its last frame.
 - **Draining.**  :meth:`Router.stop_admitting` turns new predicts into
   503s while in-flight ones finish (:meth:`Router.wait_idle`);
   :meth:`Router.set_draining` does the same for a single replica, which
@@ -89,6 +94,16 @@ BREAKER_CLOSED = "closed"
 BREAKER_OPEN = "open"
 BREAKER_HALF_OPEN = "half-open"
 
+#: Read size when relaying a streamed (read-to-EOF) replica body.
+RELAY_CHUNK_BYTES = 64 * 1024
+
+#: How long past the request's deadline a relayed stream may stay
+#: silent.  The replica enforces the same budget between force
+#: evaluations and ends its stream with a typed ``deadline_exceeded``
+#: line; its clock started later than the router's, so without this
+#: grace the router would always cut the stream just before that line.
+RELAY_DEADLINE_GRACE_S = 1.0
+
 
 @dataclass
 class ReplicaState:
@@ -124,6 +139,32 @@ class ReplicaState:
         if self.saturation:
             payload["saturation"] = dict(self.saturation)
         return payload
+
+
+@dataclass
+class _Relay:
+    """A replica response whose body is still on the wire.
+
+    :meth:`Router._proxy` returns one in place of the body bytes when the
+    replica sent no ``Content-Length`` (the ``/v1/md`` NDJSON stream).
+    The open replica connection and the request's in-flight charge pass
+    with it to :meth:`Router._relay`, which copies the body to the client
+    as it arrives and then releases both.
+    """
+
+    reader: asyncio.StreamReader
+    writer: asyncio.StreamWriter
+    content_type: str
+    state: ReplicaState
+    deadline: float | None = None  # monotonic; bounds each relayed read
+
+
+async def _close(writer) -> None:
+    writer.close()
+    try:
+        await writer.wait_closed()
+    except (ConnectionError, OSError):
+        pass
 
 
 def _error_body(
@@ -643,6 +684,9 @@ class Router:
                     status = 500
                     payload = _error_body("internal_error", f"router error: {error}", 500)
                     response_headers = {}
+                if isinstance(payload, _Relay):
+                    await self._relay(writer, status, payload, response_headers)
+                    break
                 await self._write_response(
                     writer, status, payload, keep_alive, response_headers
                 )
@@ -657,11 +701,7 @@ class Router:
         ):
             pass  # malformed or dropped client connection; nothing to answer
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            await _close(writer)
 
     @staticmethod
     async def _read_request(reader) -> tuple[str, str, dict, bytes] | None:
@@ -702,6 +742,47 @@ class Router:
         ).encode("latin-1")
         writer.write(head + body)
         await writer.drain()
+
+    async def _relay(self, writer, status: int, relay: _Relay, extra_headers: dict) -> None:
+        """Copy a read-to-EOF replica body to the client as it arrives.
+
+        The head carries the replica's status and ``Content-Type`` and no
+        ``Content-Length``; EOF ends the body, so the client connection
+        closes after it.  Each read waits at most ``proxy_timeout_s`` and
+        never past the request's deadline (plus
+        :data:`RELAY_DEADLINE_GRACE_S`).  A timeout or reset propagates
+        to :meth:`_handle_connection`, which drops the client connection
+        without authoring a status, and an early EOF just ends the body:
+        either way the client sees the truncation it would see from the
+        replica directly.  The request stays in flight until the copy
+        ends.
+        """
+        try:
+            extra = "".join(f"{name}: {value}\r\n" for name, value in extra_headers.items())
+            writer.write(
+                (
+                    f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
+                    f"Content-Type: {relay.content_type}\r\n"
+                    f"{extra}"
+                    "Connection: close\r\n\r\n"
+                ).encode("latin-1")
+            )
+            await writer.drain()
+            while True:
+                timeout_s = self.proxy_timeout_s
+                if relay.deadline is not None:
+                    remaining_s = relay.deadline + RELAY_DEADLINE_GRACE_S - time.monotonic()
+                    timeout_s = min(timeout_s, remaining_s)
+                chunk = await asyncio.wait_for(
+                    relay.reader.read(RELAY_CHUNK_BYTES), timeout=max(timeout_s, 0.0)
+                )
+                if not chunk:
+                    return
+                writer.write(chunk)
+                await writer.drain()
+        finally:
+            await _close(relay.writer)
+            self._release(relay.state)
 
     async def _dispatch(
         self, method: str, path: str, headers: dict, body: bytes
@@ -823,12 +904,15 @@ class Router:
                     ),
                     _retryable_headers(503),
                 )
+            payload = None
             try:
                 status, payload, response_headers = await asyncio.wait_for(
                     self._proxy(state, "POST", path, body, extra_headers=extra_headers),
                     timeout=timeout_s,
                 )
                 self._record_success(state)
+                if isinstance(payload, _Relay):
+                    payload.deadline = deadline
                 return status, payload, response_headers
             except (asyncio.TimeoutError, TimeoutError):
                 if deadline is not None and time.monotonic() >= deadline:
@@ -856,7 +940,8 @@ class Router:
                 self._record_failure(state)
                 self._count("rerouted")
             finally:
-                self._release(state)
+                if not isinstance(payload, _Relay):  # a relay releases when it ends
+                    self._release(state)
 
     async def _proxy_any(self, method: str, path: str) -> tuple[int, bytes, dict]:
         state = self._acquire(set())
@@ -894,18 +979,21 @@ class Router:
         path: str,
         body: bytes = b"",
         extra_headers: dict | None = None,
-    ) -> tuple[int, bytes, dict]:
+    ) -> tuple[int, bytes | _Relay, dict]:
         """Forward one request to a replica; returns (status, body, headers).
 
         One connection per proxied request (``Connection: close``): on
         loopback the handshake is microseconds, and it keeps the failure
         model trivial — any I/O error here means *this* request, not a
-        pooled connection in an unknown state.  Of the replica's response
-        headers only ``Retry-After`` is relayed — the framing headers are
-        re-authored by :meth:`_write_response`, but the backoff hint
-        belongs to the client.
+        pooled connection in an unknown state.  A body without
+        ``Content-Length`` is not read here: the body slot holds a
+        :class:`_Relay` instead.  Of the replica's other response headers
+        only ``Retry-After`` is relayed — the framing headers are
+        re-authored on the way out, but the backoff hint belongs to the
+        client.
         """
         reader, writer = await asyncio.open_connection(self.replica_host, state.port)
+        relay = None
         try:
             forwarded = "".join(
                 f"{name}: {value}\r\n" for name, value in (extra_headers or {}).items()
@@ -927,6 +1015,7 @@ class Router:
                 raise ValueError(f"malformed status line from replica: {status_line!r}")
             status = int(parts[1])
             length: int | None = None
+            content_type = "application/json"
             response_headers: dict = {}
             while True:
                 line = await reader.readline()
@@ -936,16 +1025,17 @@ class Router:
                 lowered = name.strip().lower()
                 if lowered == "content-length":
                     length = int(value.strip())
+                elif lowered == "content-type":
+                    content_type = value.strip()
                 elif lowered == "retry-after":
                     response_headers["Retry-After"] = value.strip()
-            payload = await (reader.readexactly(length) if length is not None else reader.read())
-            return status, payload, response_headers
+            if length is None:
+                relay = _Relay(reader, writer, content_type, state)
+                return status, relay, response_headers
+            return status, await reader.readexactly(length), response_headers
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            if relay is None:
+                await _close(writer)
 
     # ------------------------------------------------------------------
     # router-authored endpoints

@@ -21,9 +21,11 @@ from repro.api import (
     TransportError,
     UnknownModelError,
 )
+from repro.api import server as server_module
 from repro.models import HydraModel, ModelConfig
 from repro.serving import ModelRegistry, ServiceConfig
 from repro.serving.md import MAX_MD_STEPS, MDResult
+from repro.serving.router import Router
 
 CUTOFF = 4.0
 
@@ -358,3 +360,71 @@ class TestChunkedResume:
             frames.extend(iterator)
         assert_frames_identical(baseline, frames)
         assert run.result.steps == 30
+
+
+@pytest.fixture()
+def routed(server):
+    """A real router with the module's server as its only replica."""
+    router = Router().start()
+    router.set_replica(0, server.bound_port, pid=1)
+    yield router
+    router.close()
+
+
+class TestThroughRouter:
+    """md streamed through ``repro serve --replicas``' router is unchanged."""
+
+    def test_routed_matches_local_bit_for_bit(self, routed):
+        structure = make_structure(seed=14)
+        run = Client.http(routed.url).md(structure, **NVT_KNOBS)
+        routed_frames = run.frames()
+        with Client.local(make_registry(), cutoff=CUTOFF) as local:
+            local_run = local.md(structure, **NVT_KNOBS)
+            local_frames = local_run.frames()
+        assert_frames_identical(local_frames, routed_frames)
+        assert run.result == local_run.result
+        assert routed.total_in_flight() == 0
+
+    def test_deadline_verdict_passes_through(self, routed):
+        """A budget that runs out mid-stream still ends in the replica's
+        typed ``deadline_exceeded`` line, not a router-side cut."""
+        with pytest.raises(DeadlineExceededError):
+            Client.http(routed.url).md(
+                make_structure(seed=16), n_steps=MAX_MD_STEPS, deadline_ms=50.0
+            ).frames()
+        assert routed.wait_idle(timeout_s=10.0)
+
+    def test_stream_cut_mid_segment_resumes_identically(self, routed, monkeypatch):
+        """The replica's first stream ends after four frame lines, the
+        way a replica killed mid-run ends it; the router passes the
+        truncation on and the chunked run resumes from its last frame."""
+        structure = make_structure(seed=15)
+        with Client.local(make_registry(), cutoff=CUTOFF) as local:
+            baseline = local.md(structure, **NVT_KNOBS).frames()
+
+        stream_md = server_module._ApiRequestHandler._stream_md
+        cuts = []
+
+        def cut_first_stream(handler, model, events):
+            if cuts:
+                return stream_md(handler, model, events)
+            cuts.append(model)
+
+            def four_frames():
+                try:
+                    for count, event in enumerate(events):
+                        if count == 4:
+                            return
+                        yield event
+                finally:
+                    events.close()
+
+            return stream_md(handler, model, four_frames())
+
+        monkeypatch.setattr(server_module._ApiRequestHandler, "_stream_md", cut_first_stream)
+        run = Client.http(routed.url).md(structure, chunk_steps=20, **NVT_KNOBS)
+        frames = run.frames()
+        assert cuts and run.resumes == 1
+        assert_frames_identical(baseline, frames)
+        assert run.result.steps == 30
+        assert routed.total_in_flight() == 0

@@ -12,11 +12,14 @@ Three layers, cheapest first:
   subprocess with a graceful SIGTERM drain.
 """
 
+import http.client
 import http.server
 import json
 import os
 import re
 import signal
+import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -28,8 +31,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.api import schemas, server
-from repro.api.schemas import StatsSnapshot
+from repro.api import Client, StructurePayload, TransportError, schemas, server
+from repro.api.schemas import MDFramePayload, StatsSnapshot
 from repro.serving import ReplicaSpec, ReplicaSupervisor
 from repro.serving import router as router_module
 from repro.serving.router import Router, aggregate_model_telemetry
@@ -236,6 +239,157 @@ def two_fakes():
     router.close()
     for fake in fakes:
         fake.stop()
+
+
+#: A schema-valid md frame line: what a replica streams first.
+FRAME_LINE = (
+    json.dumps(
+        MDFramePayload(
+            step=0,
+            energy=0.0,
+            kinetic_energy=0.0,
+            temperature_k=0.0,
+            positions=np.zeros((3, 3)),
+            velocities=np.zeros((3, 3)),
+        ).to_json_dict()
+    ).encode()
+    + b"\n"
+)
+SUMMARY_LINE = b'{"schema_version": "v1", "model": "fake", "summary": {}}\n'
+
+
+class _StreamingReplica:
+    """A fake replica whose ``/v1/md`` streams one frame line, then waits.
+
+    The stream holds until the test sets :attr:`resume`.  It then ends
+    with a summary line, or — with ``die=True`` — the connection is
+    reset mid-stream, as a killed replica's would be.
+    """
+
+    def __init__(self, die: bool = False):
+        self.resume = threading.Event()
+        self.streams = 0
+        fake = self
+
+        class Handler(http.server.BaseHTTPRequestHandler):
+            def log_message(self, *args):  # silence
+                pass
+
+            def do_POST(self):
+                self.rfile.read(int(self.headers.get("Content-Length", 0)))
+                fake.streams += 1
+                self.close_connection = True
+                self.send_response(200)
+                self.send_header("Content-Type", "application/x-ndjson")
+                self.send_header("Connection", "close")
+                self.end_headers()
+                self.wfile.write(FRAME_LINE)
+                self.wfile.flush()
+                fake.resume.wait(timeout=60)
+                if die:
+                    # Zero linger: close sends a reset, not an orderly FIN.
+                    self.connection.setsockopt(
+                        socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+                    )
+                    self.connection.close()
+                    return
+                try:
+                    self.wfile.write(SUMMARY_LINE)
+                except OSError:
+                    pass  # the router already cut this stream
+
+        self.server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self.port = self.server.server_address[1]
+        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+        self.thread.start()
+
+    def stop(self):
+        self.resume.set()
+        self.server.shutdown()
+        self.server.server_close()
+
+
+def open_md_stream(router: Router) -> tuple[http.client.HTTPConnection, object]:
+    connection = http.client.HTTPConnection("127.0.0.1", router.bound_port, timeout=30)
+    connection.request(
+        "POST", "/v1/md", body=b"{}", headers={"Content-Type": "application/json"}
+    )
+    return connection, connection.getresponse()
+
+
+class TestStreamRelay:
+    """``/v1/md`` frames pass through the router as the replica writes them."""
+
+    def test_first_frame_arrives_before_the_run_ends(self):
+        fake = _StreamingReplica()
+        router = Router().start()
+        router.set_replica(0, fake.port, pid=1)
+        try:
+            connection, response = open_md_stream(router)
+            assert response.status == 200
+            assert response.headers["Content-Type"] == "application/x-ndjson"
+            assert response.headers["Content-Length"] is None
+            # The replica is still blocked on ``resume``: this line can
+            # only have come through the router mid-run.
+            assert response.readline() == FRAME_LINE
+            assert not fake.resume.is_set()
+            assert router.total_in_flight() == 1
+            assert router.wait_idle(timeout_s=0.1) is False
+            fake.resume.set()
+            assert response.read() == SUMMARY_LINE  # then EOF
+            connection.close()
+            assert router.total_in_flight() == 0
+            assert router.wait_idle(timeout_s=10.0)
+            assert router.snapshot()[0]["breaker"] == router_module.BREAKER_CLOSED
+        finally:
+            router.close()
+            fake.stop()
+
+    def test_stalled_stream_is_cut_and_released(self):
+        fake = _StreamingReplica()
+        router = Router(proxy_timeout_s=0.3).start()
+        router.set_replica(0, fake.port, pid=1)
+        try:
+            connection, response = open_md_stream(router)
+            assert response.readline() == FRAME_LINE
+            # The replica never writes again: the router drops the
+            # client connection instead of authoring a status mid-body.
+            assert response.read() == b""
+            connection.close()
+            assert router.total_in_flight() == 0
+            assert router.snapshot()[0]["healthy"] is True  # slow, not dead
+        finally:
+            router.close()
+            fake.stop()
+
+    def test_replica_killed_mid_stream_is_a_transport_error(self):
+        fakes = [_StreamingReplica(die=True), _StreamingReplica(die=True)]
+        router = Router().start()
+        for replica_id, fake in enumerate(fakes):
+            router.set_replica(replica_id, fake.port, pid=1000 + replica_id)
+        try:
+            water = json.loads(WATER_BODY)["structures"][0]
+            run = Client.http(router.url, retries=0).md(
+                StructurePayload(
+                    atomic_numbers=np.array(water["atomic_numbers"]),
+                    positions=np.array(water["positions"]),
+                ),
+                n_steps=10,
+            )
+            frames = iter(run)
+            assert next(frames).step == 0
+            for fake in fakes:
+                fake.resume.set()
+            with pytest.raises(TransportError):
+                next(frames)
+            # Truncation is the client's verdict, not a reroute: the run
+            # never reached the second replica.
+            assert sum(fake.streams for fake in fakes) == 1
+            assert router.total_in_flight() == 0
+        finally:
+            router.close()
+            for fake in fakes:
+                fake.stop()
 
 
 class TestRouter:
