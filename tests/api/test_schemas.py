@@ -10,10 +10,15 @@ import pytest
 from repro.api import (
     ApiError,
     ErrorPayload,
+    MDFramePayload,
+    MDRequest,
+    MDResponse,
     OverloadedError,
     PredictionPayload,
     PredictRequest,
     PredictResponse,
+    RelaxRequest,
+    RelaxResponse,
     SchemaError,
     ServerInfo,
     StatsSnapshot,
@@ -366,9 +371,10 @@ class TestServerInfoAndStats:
 class TestGoldenFiles:
     """The committed fixtures pin the wire encoding itself.
 
-    parse -> re-emit must reproduce the golden dict *exactly* — if one
-    of these breaks, the change is a wire-format break and needs a
-    schema_version bump, not a fixture update.
+    parse -> re-emit must reproduce the golden file *byte for byte* —
+    key order and int-vs-float included, which dict equality misses
+    (``1 == 1.0``).  If one of these breaks, the change is a wire-format
+    break and needs a schema_version bump, not a fixture update.
     """
 
     @pytest.mark.parametrize(
@@ -381,11 +387,18 @@ class TestGoldenFiles:
             ("error_retry_after.json", ErrorPayload),
             ("server_info.json", ServerInfo),
             ("stats_snapshot.json", StatsSnapshot),
+            ("predict_request_edges.json", PredictRequest),
+            ("relax_request.json", RelaxRequest),
+            ("relax_response.json", RelaxResponse),
+            ("md_request.json", MDRequest),
+            ("md_frame.json", MDFramePayload),
+            ("md_summary.json", MDResponse),
         ],
     )
     def test_parse_reemit_identity(self, name, schema):
-        golden = json.loads((GOLDEN / name).read_text())
-        assert schema.from_json_dict(golden).to_json_dict() == golden
+        text = (GOLDEN / name).read_text()
+        re_emitted = schema.from_json_dict(json.loads(text)).to_json_dict()
+        assert json.dumps(re_emitted, indent=2) + "\n" == text
 
     def test_golden_stats_carry_plan_counters(self):
         """The plans section is additive: new counters, same schema v1."""
