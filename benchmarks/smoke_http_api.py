@@ -17,7 +17,11 @@ tiny preset), then asserts the deployment contract end to end:
    `summary` line that parses as a schema-valid `MDResponse`,
 6. the same `/v1/md` check through `--replicas 1`: the router relays
    the stream under the replica's `application/x-ndjson` content type,
-7. SIGTERM exits 0 through the graceful path and saves the autotune
+7. `/v1/models`, `/v1/stats` and an unknown route's 404 body decode with
+   `ServerInfo`, `StatsSnapshot` and `ErrorPayload`, both direct and
+   through the router — which writes its own envelopes without
+   importing `repro.api`, so this pins it to the same codec,
+8. SIGTERM exits 0 through the graceful path and saves the autotune
    cache for the next replica.
 
 Run:  PYTHONPATH=src python benchmarks/smoke_http_api.py
@@ -41,7 +45,15 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.api import MDFramePayload, MDResponse, PredictResponse, RelaxResponse
+from repro.api import (
+    ErrorPayload,
+    MDFramePayload,
+    MDResponse,
+    PredictResponse,
+    RelaxResponse,
+    ServerInfo,
+    StatsSnapshot,
+)
 
 WATER = {
     "atomic_numbers": [8, 1, 1],
@@ -171,6 +183,24 @@ def check_md_stream(base_url: str) -> str:
     )
 
 
+def check_envelopes(base_url: str) -> str:
+    """Decode ``/v1/models``, ``/v1/stats`` and a 404 with the strict schemas."""
+    with urllib.request.urlopen(base_url + "/v1/models", timeout=30) as resp:
+        info = ServerInfo.from_json_dict(json.loads(resp.read()))
+    assert info.default_model in [model["name"] for model in info.models], info
+    with urllib.request.urlopen(base_url + "/v1/stats", timeout=30) as resp:
+        stats = StatsSnapshot.from_json_dict(json.loads(resp.read()))
+    assert set(stats.models) == {info.default_model}, stats.models
+    try:
+        urllib.request.urlopen(base_url + "/v1/no-such-route", timeout=30)
+        raise AssertionError("expected a 404 for an unknown route")
+    except urllib.error.HTTPError as error:
+        assert error.code == 404, error.code
+        payload = ErrorPayload.from_json_dict(json.loads(error.read()))
+    assert payload.code == "not_found" and payload.status == 404, payload
+    return f"models/stats/404 decode ({len(info.endpoints)} endpoints, pid {stats.pid})"
+
+
 def main() -> int:
     cache_path = os.path.join(tempfile.mkdtemp(prefix="repro-smoke-"), "autotune.json")
     process, base_url = start_server(
@@ -250,11 +280,12 @@ def main() -> int:
             # 5. /v1/md -> a streamed NDJSON trajectory: schema-valid
             # frame lines in step order, one terminal summary line.
             print(f"md ok: {check_md_stream(relax_url)}")
+            print(f"envelopes ok: {check_envelopes(relax_url)}")
         finally:
             relax_process.terminate()
             relax_process.communicate(timeout=60)
 
-        # 6. The same md stream through the replica router.
+        # 6-7. The md stream and the envelopes through the replica router.
         fleet_cache = os.path.join(tempfile.mkdtemp(prefix="repro-smoke-"), "autotune.json")
         fleet_process, fleet_url = start_server(
             fleet_cache, "--workers", "1", "--replicas", "1"
@@ -262,11 +293,12 @@ def main() -> int:
         try:
             wait_healthy(fleet_url)
             print(f"md through the router ok: {check_md_stream(fleet_url)}")
+            print(f"envelopes through the router ok: {check_envelopes(fleet_url)}")
         finally:
             fleet_process.terminate()
             fleet_process.communicate(timeout=60)
 
-        # 7. SIGTERM -> graceful exit 0 + autotune cache saved.
+        # 8. SIGTERM -> graceful exit 0 + autotune cache saved.
         process.send_signal(signal.SIGTERM)
         out, _ = process.communicate(timeout=60)
         assert process.returncode == 0, (process.returncode, out)

@@ -20,6 +20,18 @@ misinterpreting each other.  Two design rules:
   in-process.  The golden files under ``tests/api/golden/`` pin this
   encoding.
 
+One codec serves every class.  Each wire field is declared once, with
+:func:`_wire` and a *kind* (string, bounded int, finite number, float
+matrix, nested payload, ...); the inherited ``to_json_dict`` /
+``from_json_dict`` walk those declarations, and the only hand-written
+rules are the ones that span fields (a ``pbc`` flag needs a ``cell``,
+the ``v2`` edges block).  Keys are emitted in declaration order.  To add
+a field **additively**, declare it ``optional=True``: a body without
+the key (or with ``null``) decodes to the default, and an unset value is
+left off the wire, so bodies that never use the field keep exactly
+their old bytes.  There is no ``schema_version`` bump; a new golden
+pins the new key.
+
 In schema ``v1`` a :class:`StructurePayload` does *not* carry edges:
 connectivity is derived (radius cutoff + periodic images), so the wire
 format ships only the physical inputs — positions, atomic numbers, cell,
@@ -36,12 +48,26 @@ responses stay ``v1``.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Any
 
 import numpy as np
 
+from repro.api.errors import (  # re-exported: the schemas' failure half
+    ERROR_TYPES,
+    ApiError,
+    DeadlineExceededError,
+    MDDivergedError,
+    NotFound,
+    OverloadedError,
+    RequestTimeout,
+    SchemaError,
+    TransportError,
+    UnavailableError,
+    UnknownModelError,
+)
 from repro.graph.atoms import AtomGraph
 from repro.graph.radius import build_edges
 from repro.serving.md import (
@@ -72,120 +98,6 @@ DEFAULT_CUTOFF = 5.0
 #: admission decision, not a bulk-import channel.
 MAX_STRUCTURES_PER_REQUEST = 1024
 
-
-# ----------------------------------------------------------------------
-# Typed errors (the wire contract's failure half)
-# ----------------------------------------------------------------------
-class ApiError(Exception):
-    """Base class for every error the API maps onto an HTTP status."""
-
-    code = "internal_error"
-    http_status = 500
-    #: Honest backoff hint (seconds) on retryable rejections; instances
-    #: carrying one shadow this class default.
-    retry_after_s: float | None = None
-
-
-class SchemaError(ApiError):
-    """The payload is malformed: wrong keys, types, shapes, or values."""
-
-    code = "invalid_request"
-    http_status = 400
-
-
-class UnknownModelError(ApiError):
-    """The request named a model the registry does not serve."""
-
-    code = "unknown_model"
-    http_status = 404
-
-
-class NotFound(ApiError):
-    """No such endpoint (route-level 404, distinct from unknown model)."""
-
-    code = "not_found"
-    http_status = 404
-
-
-class OverloadedError(ApiError):
-    """Admission control rejected the request; retry with backoff."""
-
-    code = "overloaded"
-    http_status = 429
-
-
-class RequestTimeout(ApiError):
-    """The request was admitted but not served within the timeout."""
-
-    code = "timeout"
-    http_status = 504
-
-
-class DeadlineExceededError(ApiError):
-    """The request's propagated deadline expired before it was served.
-
-    Distinct from :class:`RequestTimeout` (the server's own wait bound):
-    this is the *client's* budget, carried as ``deadline_ms`` in the
-    body and ``X-Repro-Deadline-Ms`` on the wire, expiring somewhere on
-    the path.  The server drops expired work instead of executing it, so
-    receiving this guarantees no forward was burned on your behalf.
-    """
-
-    code = "deadline_exceeded"
-    http_status = 504
-
-
-class UnavailableError(ApiError):
-    """No backend can take the request right now (draining or down).
-
-    Raised by the replica router when it is draining for shutdown or has
-    no healthy replica; unlike :class:`OverloadedError` (the service is
-    up but full — back off) this means "try another endpoint or wait for
-    the fleet to recover".
-    """
-
-    code = "unavailable"
-    http_status = 503
-
-
-class TransportError(ApiError):
-    """The HTTP transport could not reach or understand the server."""
-
-    code = "transport_error"
-    http_status = 502
-
-
-class MDDivergedError(ApiError):
-    """The MD integration blew up (non-finite positions or velocities).
-
-    A verdict, not a transient: the requested ``timestep_fs`` is too
-    large for the served force field, so retrying or resuming the same
-    run is pointless.  Streaming responses deliver this as a terminal
-    ``error`` line (the 200 status is already on the wire when the blowup
-    happens mid-run).
-    """
-
-    code = "md_diverged"
-    http_status = 500
-
-
-#: code → class, for rebuilding the typed error client-side.
-ERROR_TYPES = {
-    cls.code: cls
-    for cls in (
-        ApiError,
-        SchemaError,
-        UnknownModelError,
-        NotFound,
-        OverloadedError,
-        RequestTimeout,
-        DeadlineExceededError,
-        TransportError,
-        UnavailableError,
-        MDDivergedError,
-    )
-}
-
 #: HTTP header carrying the request's *remaining* deadline budget in
 #: milliseconds (gRPC-timeout style: relative, re-stamped per hop).  The
 #: header wins over the body's ``deadline_ms`` so proxies can decrement
@@ -199,13 +111,7 @@ MAX_DEADLINE_MS = 3_600_000.0
 
 def validate_deadline_ms(value, where: str) -> float | None:
     """Validate an optional ``deadline_ms`` value (body field or header)."""
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{where}: expected a number of milliseconds")
-    if not (math.isfinite(value) and 0 < value <= MAX_DEADLINE_MS):
-        raise SchemaError(f"{where}: must be in (0, {MAX_DEADLINE_MS:.0f}] ms")
-    return float(value)
+    return None if value is None else _DEADLINE.decode(value, where)
 
 
 #: HTTP header carrying the request's ``client_id`` for quota accounting
@@ -231,22 +137,12 @@ MAX_CLIENT_ID_CHARS = 128
 
 def validate_client_id(value, where: str) -> str | None:
     """Validate an optional ``client_id`` value (body field or header)."""
-    if value is None:
-        return None
-    if not isinstance(value, str) or not value:
-        raise SchemaError(f"{where}: expected a non-empty string")
-    if len(value) > MAX_CLIENT_ID_CHARS:
-        raise SchemaError(f"{where}: at most {MAX_CLIENT_ID_CHARS} characters")
-    return value
+    return None if value is None else _CLIENT_ID.decode(value, where)
 
 
 def validate_priority(value, where: str) -> str | None:
     """Validate an optional ``priority`` lane (body field or header)."""
-    if value is None:
-        return None
-    if not isinstance(value, str) or value not in PRIORITY_LANES:
-        raise SchemaError(f"{where}: expected one of {list(PRIORITY_LANES)}")
-    return value
+    return None if value is None else _LANE.decode(value, where)
 
 
 # ----------------------------------------------------------------------
@@ -263,15 +159,11 @@ def _expect_keys(obj: dict, required: set[str], optional: set[str], where: str) 
         raise SchemaError(f"{where}: unknown key(s) {sorted(unknown)}")
 
 
-def _expect_version(
-    obj: dict, where: str, supported: tuple[str, ...] = (SCHEMA_VERSION,)
-) -> str:
+def _expect_version(obj: dict, where: str, supported: tuple[str, ...]) -> str:
     version = obj.get("schema_version")
     if version not in supported:
         expected = supported[0] if len(supported) == 1 else f"one of {list(supported)}"
-        raise SchemaError(
-            f"{where}: unsupported schema_version {version!r} (expected {expected})"
-        )
+        raise SchemaError(f"{where}: unsupported schema_version {version!r} (expected {expected})")
     return version
 
 
@@ -282,14 +174,17 @@ def _float_matrix(value: Any, shape: tuple[int | None, int], where: str) -> np.n
     rows = shape[0] if shape[0] is not None else len(value)
     if len(value) != rows:
         raise SchemaError(f"{where}: expected {rows} rows, got {len(value)}")
-    for index, row in enumerate(value):
-        if len(row) != shape[1]:
-            raise SchemaError(f"{where}[{index}]: expected {shape[1]} components")
-        for component in row:
-            if isinstance(component, bool) or not isinstance(component, (int, float)):
-                raise SchemaError(f"{where}[{index}]: non-numeric component {component!r}")
-            if not math.isfinite(component):
-                raise SchemaError(f"{where}[{index}]: non-finite component {component!r}")
+    try:
+        for index, row in enumerate(value):
+            if len(row) != shape[1]:
+                raise SchemaError(f"{where}[{index}]: expected {shape[1]} components")
+            for component in row:
+                if isinstance(component, bool) or not isinstance(component, (int, float)):
+                    raise SchemaError(f"{where}[{index}]: non-numeric component {component!r}")
+                if not math.isfinite(component):
+                    raise SchemaError(f"{where}[{index}]: non-finite component {component!r}")
+    except OverflowError:  # an int past float64 range
+        raise SchemaError(f"{where}[{index}]: component out of float64 range") from None
     return np.asarray(value, dtype=np.float64).reshape(len(value), shape[1])
 
 
@@ -331,10 +226,304 @@ def _edges_from_json(
 
 
 # ----------------------------------------------------------------------
+# Field kinds: how one value is validated, encoded and mirrored
+# ----------------------------------------------------------------------
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: Any) -> bool:
+    """An int or float that float64 can hold (a huge JSON int cannot)."""
+    if isinstance(value, float):
+        return True
+    try:
+        return _is_int(value) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+class _Kind:
+    """One kind of wire value.
+
+    ``decode`` checks a parsed JSON value with ``accepts`` (the error
+    names its path ``where``) and converts it with ``load``; ``encode``
+    coerces to plain JSON with ``dump``, ``mirror`` for the in-process
+    twin.  Optional fields are left off the wire while ``unset``.
+    """
+
+    #: Field whose decoded value this kind reads from ``done``.
+    after: str | None = None
+
+    def __init__(self, accepts, expected: str, load=None, dump=None) -> None:
+        self.accepts, self.expected, self.load, self.dump = accepts, expected, load, dump
+
+    def decode(self, value: Any, where: str, done=None, version=None) -> Any:
+        if not self.accepts(value):
+            raise SchemaError(f"{where}: expected {self.expected}")
+        return value if self.load is None else self.load(value)
+
+    def encode(self, value: Any) -> Any:
+        return value if self.dump is None else self.dump(value)
+
+    def mirror(self, value: Any) -> Any:
+        return self.encode(value)
+
+    def unset(self, value: Any) -> bool:
+        return value is None
+
+
+class _Flags(_Kind):
+    """Booleans, unset while none is true."""
+
+    def unset(self, value):
+        return not any(value)
+
+
+class _Matrix(_Kind):
+    """Rows of three finite numbers as a float64 array.
+
+    ``rows`` is a fixed count, ``None`` (any), or the dotted path of an
+    already-decoded field whose value (an int) or length fixes it.
+    """
+
+    def __init__(self, rows: int | str | None = None) -> None:
+        self.rows = rows
+        if isinstance(rows, str):
+            self.after, *self.attributes = rows.split(".")
+
+    def decode(self, value, where, done, version):
+        rows = self.rows
+        if isinstance(rows, str):
+            rows = done[self.after]
+            for attribute in self.attributes:
+                rows = getattr(rows, attribute)
+            rows = rows if isinstance(rows, int) else len(rows)
+        return _float_matrix(value, (rows, 3), where)
+
+    def encode(self, value):
+        return _matrix_to_json(value)
+
+    def mirror(self, value):
+        return np.asarray(value, dtype=np.float64)
+
+
+class _Nested(_Kind):
+    """One payload, or with ``many`` a list of them (at most ``most``)."""
+
+    def __init__(self, cls: type, many: bool = False, non_empty: bool = False, most=None):
+        self.cls, self.many, self.non_empty, self.most = cls, many, non_empty, most
+
+    def decode(self, value, where, done, version):
+        if not self.many:
+            return _decode(self.cls, value, where, version)
+        if not isinstance(value, list) or (self.non_empty and not value):
+            noun = "a non-empty list" if self.non_empty else "a list"
+            raise SchemaError(f"{where}: expected {noun}")
+        if self.most is not None and len(value) > self.most:
+            raise SchemaError(f"{where}: at most {self.most} per request, got {len(value)}")
+        return [_decode(self.cls, item, f"{where}[{i}]", version) for i, item in enumerate(value)]
+
+    def encode(self, value):
+        return [item.to_json_dict() for item in value] if self.many else value.to_json_dict()
+
+
+def _number(check, expected: str) -> _Kind:
+    return _Kind(lambda v: _is_number(v) and check(float(v)), expected, float, float)
+
+
+def _int_in(low: int, high: int) -> _Kind:
+    return _Kind(lambda v: _is_int(v) and low <= v <= high, f"an int in [{low}, {high}]", None, int)
+
+
+def _one_of(choices: tuple[str, ...]) -> _Kind:
+    return _Kind(lambda v: isinstance(v, str) and v in choices, f"one of {list(choices)}")
+
+
+_STR = _Kind(lambda v: isinstance(v, str), "a string")
+_BOOL = _Kind(lambda v: isinstance(v, bool), "a boolean", None, bool)
+_INT = _Kind(_is_int, "an int", None, int)
+_COUNT = _Kind(lambda v: _is_int(v) and v >= 0, "a non-negative int", None, int)
+_POSITIVE_INT = _Kind(lambda v: _is_int(v) and v >= 1, "a positive int", None, int)
+_NUMBER = _Kind(_is_number, "a number", float, float)
+_FINITE = _number(math.isfinite, "a finite number")
+_POSITIVE = _number(lambda x: math.isfinite(x) and x > 0, "a positive finite number")
+_NON_NEGATIVE = _number(lambda x: math.isfinite(x) and x >= 0, "a finite number >= 0")
+_DEADLINE = _number(
+    lambda x: 0 < x <= MAX_DEADLINE_MS, f"milliseconds in (0, {MAX_DEADLINE_MS:.0f}]"
+)
+_CLIENT_ID = _Kind(
+    lambda v: isinstance(v, str) and 0 < len(v) <= MAX_CLIENT_ID_CHARS,
+    f"a non-empty string of at most {MAX_CLIENT_ID_CHARS} characters",
+)
+_LANE = _one_of(PRIORITY_LANES)
+_ELEMENTS = _Kind(
+    lambda v: isinstance(v, list)
+    and v
+    and not any(isinstance(z, bool) or not isinstance(z, int) or not 1 <= z <= 118 for z in v),
+    "a non-empty list of element numbers in [1, 118]",
+    lambda numbers: np.asarray(numbers, dtype=np.int64),
+    lambda numbers: [int(z) for z in numbers],
+)
+_STRINGS = _Kind(
+    lambda v: isinstance(v, list) and all(isinstance(item, str) for item in v),
+    "a list of strings",
+    tuple,
+    list,
+)
+_PBC = _Flags(
+    lambda v: isinstance(v, list) and len(v) == 3 and all(isinstance(f, bool) for f in v),
+    "three booleans",
+    tuple,
+    lambda flags: [bool(flag) for flag in flags],
+)
+_OBJECT = _Kind(lambda v: isinstance(v, dict), "a JSON object")
+_LIST = _Kind(lambda v: isinstance(v, list), "a list")
+
+
+@dataclass(frozen=True)
+class _Spec:
+    """One field's wire declaration (see :func:`_wire`)."""
+
+    kind: _Kind
+    key: str | None
+    optional: bool
+    missing: Any
+    knob: bool
+    last: bool
+
+
+def _wire(kind, *, key=None, optional=False, missing=MISSING, knob=False, last=False, **field_args):
+    """Declare a dataclass field's wire form.
+
+    - ``key``: the JSON key, if not the field name.
+    - ``optional``: the key may be absent or ``null`` (both decode to the
+      field default, ``None`` unless given) and an unset value is left
+      off the wire.
+    - ``missing``: the key may be absent and decodes to this value, but
+      is always emitted; ``null`` is accepted only when this is ``None``.
+    - ``knob``: an optional relax/md setting that overrides the server default.
+    - ``last``: emitted after the other keys (v1 key order).
+
+    Without ``optional`` or ``missing`` the key is required.
+    """
+    if optional or knob:
+        optional = True
+        field_args.setdefault("default", None)
+        missing = field_args["default"]
+    spec = _Spec(kind, key, optional, missing, knob, last)
+    return field(metadata={"wire": spec}, **field_args)
+
+
+@dataclass(frozen=True)
+class _Plan:
+    encode: tuple  # (name, key, spec) in emission order
+    decode: tuple  # same, fields read by a later kind's ``after`` first
+    required: frozenset
+    optional: frozenset
+
+
+@functools.cache
+def _plan(cls: type) -> _Plan:
+    declared = [
+        (f.name, f.metadata["wire"].key or f.name, f.metadata["wire"])
+        for f in fields(cls)
+        if "wire" in f.metadata
+    ]
+    keys = {key for _, key, spec in declared if spec.missing is MISSING}
+    return _Plan(
+        encode=tuple(sorted(declared, key=lambda entry: entry[2].last)),
+        decode=tuple(sorted(declared, key=lambda entry: entry[2].kind.after is not None)),
+        required=frozenset(keys),
+        optional=frozenset(key for _, key, _ in declared if key not in keys) | cls._extra_keys,
+    )
+
+
+def _decode(cls: type, obj: Any, where: str, version: str | None):
+    """Validate ``obj`` into ``cls`` by its field declarations."""
+    plan = _plan(cls)
+    head = {"schema_version"} if cls._versions else set()
+    if cls._envelope is not None:
+        _expect_keys(obj, head | {cls._envelope}, set(), where)
+        version = _expect_version(obj, where, cls._versions)
+        obj, where, head = obj[cls._envelope], f"{where}.{cls._envelope}", set()
+    _expect_keys(obj, plan.required | head, plan.optional, where)
+    if head:
+        version = _expect_version(obj, where, cls._versions)
+    values: dict[str, Any] = {}
+    for name, key, spec in plan.decode:
+        value = obj.get(key, MISSING)
+        if value is MISSING or (value is None and (spec.optional or spec.missing is None)):
+            values[name] = spec.missing
+        else:
+            values[name] = spec.kind.decode(value, f"{where}.{key}", values, version)
+    cls._check(obj, values, where, version)
+    return cls(**values)
+
+
+def _mirror(target: type, source: Any) -> Any:
+    """Field-for-field copy between a payload and its in-process twin."""
+    payload = type(source) if isinstance(source, _Wire) else target
+    return target(
+        **{name: spec.kind.mirror(getattr(source, name)) for name, _, spec in _plan(payload).encode}
+    )
+
+
+def _knobs(request: Any) -> dict:
+    """The request's set knobs as settings overrides, coerced as the wire would."""
+    return {
+        name: spec.kind.mirror(value)
+        for name, _, spec in _plan(type(request)).encode
+        if spec.knob and (value := getattr(request, name)) is not None
+    }
+
+
+class _Wire:
+    """Base of every wire dataclass: the one generic codec.
+
+    A subclass names its wire identity in the class statement: ``where``
+    (the path prefix of its errors), ``versions`` (accepted schema
+    versions; none for nested payloads), ``envelope`` (the key its fields
+    nest under) and ``extra_keys`` (keys a hand-written rule owns).
+    """
+
+    def __init_subclass__(cls, where="", versions=(), envelope=None, extra_keys=(), **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._where, cls._versions, cls._envelope = where, versions, envelope
+        cls._extra_keys = frozenset(extra_keys)
+
+    def to_json_dict(self) -> dict:
+        """This payload as plain JSON types, keys in declaration order."""
+        body = {}
+        for name, key, spec in _plan(type(self)).encode:
+            value = getattr(self, name)
+            if not (spec.optional and spec.kind.unset(value)):
+                body[key] = spec.kind.encode(value)
+        if not self._versions:
+            return body
+        if self._envelope is not None:
+            return {"schema_version": self._version(), self._envelope: body}
+        return {"schema_version": self._version(), **body}
+
+    @classmethod
+    def from_json_dict(cls, obj: dict, where: str | None = None):
+        """Validate a parsed JSON body; a rejection names its field path."""
+        return _decode(cls, obj, where or cls._where, None)
+
+    def _version(self) -> str:
+        """The lowest version that carries the body: ``v2`` only for edges."""
+        structures = getattr(self, "structures", None) or [getattr(self, "structure", None)]
+        return "v2" if any(getattr(s, "has_edges", False) for s in structures) else SCHEMA_VERSION
+
+    @classmethod
+    def _check(cls, obj: dict, values: dict, where: str, version: str | None) -> None:
+        """Rules that span fields; may fill fields no declaration owns."""
+
+
+# ----------------------------------------------------------------------
 # Structures
 # ----------------------------------------------------------------------
 @dataclass
-class StructurePayload:
+class StructurePayload(_Wire, where="structure", extra_keys=("edges",)):
     """One atomistic structure as it crosses the wire.
 
     The projection of :class:`AtomGraph` onto physical inputs: atomic
@@ -345,10 +534,10 @@ class StructurePayload:
     edges verbatim and skips neighbor search.
     """
 
-    atomic_numbers: np.ndarray
-    positions: np.ndarray
-    cell: np.ndarray | None = None
-    pbc: tuple[bool, bool, bool] = (False, False, False)
+    atomic_numbers: np.ndarray = _wire(_ELEMENTS)
+    positions: np.ndarray = _wire(_Matrix("atomic_numbers"))
+    cell: np.ndarray | None = _wire(_Matrix(3), optional=True)
+    pbc: tuple[bool, bool, bool] = _wire(_PBC, optional=True, default=(False, False, False))
     edge_index: np.ndarray | None = None
     edge_shift: np.ndarray | None = None
 
@@ -389,19 +578,10 @@ class StructurePayload:
         )
 
     def to_json_dict(self) -> dict:
-        payload: dict[str, Any] = {
-            "atomic_numbers": [int(z) for z in self.atomic_numbers],
-            "positions": _matrix_to_json(self.positions),
-        }
-        if self.cell is not None:
-            payload["cell"] = _matrix_to_json(self.cell)
-        if any(self.pbc):
-            payload["pbc"] = [bool(flag) for flag in self.pbc]
+        payload = super().to_json_dict()
         if self.edge_index is not None and self.edge_shift is not None:
             payload["edges"] = {
-                "edge_index": [
-                    [int(index) for index in side] for side in np.asarray(self.edge_index)
-                ],
+                "edge_index": [[int(i) for i in side] for side in np.asarray(self.edge_index)],
                 "edge_shift": _matrix_to_json(self.edge_shift),
             }
         return payload
@@ -410,48 +590,18 @@ class StructurePayload:
     def from_json_dict(
         cls, obj: dict, where: str = "structure", allow_edges: bool = False
     ) -> "StructurePayload":
-        _expect_keys(obj, {"atomic_numbers", "positions"}, {"cell", "pbc", "edges"}, where)
-        if obj.get("edges") is not None and not allow_edges:
-            raise SchemaError(
-                f"{where}.edges: precomputed edges require schema_version 'v2'"
-            )
-        numbers = obj["atomic_numbers"]
-        if (
-            not isinstance(numbers, list)
-            or not numbers
-            or any(isinstance(z, bool) or not isinstance(z, int) for z in numbers)
-        ):
-            raise SchemaError(f"{where}.atomic_numbers: expected a non-empty list of ints")
-        if any(z < 1 or z > 118 for z in numbers):
-            raise SchemaError(f"{where}.atomic_numbers: element numbers must be in [1, 118]")
-        positions = _float_matrix(obj["positions"], (len(numbers), 3), f"{where}.positions")
-        cell = None
-        if "cell" in obj and obj["cell"] is not None:
-            cell = _float_matrix(obj["cell"], (3, 3), f"{where}.cell")
-        pbc: tuple[bool, bool, bool] = (False, False, False)
-        if "pbc" in obj and obj["pbc"] is not None:
-            flags = obj["pbc"]
-            if (
-                not isinstance(flags, list)
-                or len(flags) != 3
-                or any(not isinstance(flag, bool) for flag in flags)
-            ):
-                raise SchemaError(f"{where}.pbc: expected three booleans")
-            pbc = (flags[0], flags[1], flags[2])
-        if any(pbc) and cell is None:
+        return _decode(cls, obj, where, "v2" if allow_edges else None)
+
+    @classmethod
+    def _check(cls, obj, values, where, version):
+        if any(values["pbc"]) and values["cell"] is None:
             raise SchemaError(f"{where}: pbc set but no cell given")
-        edge_index = edge_shift = None
-        if obj.get("edges") is not None:
-            edge_index, edge_shift = _edges_from_json(
-                obj["edges"], len(numbers), any(pbc), f"{where}.edges"
-            )
-        return cls(
-            atomic_numbers=np.asarray(numbers, dtype=np.int64),
-            positions=positions,
-            cell=cell,
-            pbc=pbc,
-            edge_index=edge_index,
-            edge_shift=edge_shift,
+        if obj.get("edges") is None:
+            return
+        if version != "v2":
+            raise SchemaError(f"{where}.edges: precomputed edges require schema_version 'v2'")
+        values["edge_index"], values["edge_shift"] = _edges_from_json(
+            obj["edges"], len(values["atomic_numbers"]), any(values["pbc"]), f"{where}.edges"
         )
 
 
@@ -459,22 +609,24 @@ class StructurePayload:
 # Predict request / response
 # ----------------------------------------------------------------------
 @dataclass
-class PredictRequest:
+class PredictRequest(_Wire, where="request", versions=SUPPORTED_VERSIONS):
     """``POST /v1/predict`` body: one or many structures, optional model."""
 
-    structures: list[StructurePayload]
-    model: str | None = None
+    structures: list[StructurePayload] = _wire(
+        _Nested(StructurePayload, many=True, non_empty=True, most=MAX_STRUCTURES_PER_REQUEST)
+    )
+    model: str | None = _wire(_STR, optional=True)
     #: Optional latency budget in milliseconds, relative to send time
     #: (additive v1 field).  Work still unserved when it runs out is
     #: dropped with a typed ``deadline_exceeded`` 504 instead of
     #: executing; see :data:`DEADLINE_HEADER` for the hop-by-hop form.
-    deadline_ms: float | None = None
+    deadline_ms: float | None = _wire(_DEADLINE, optional=True)
     #: Optional caller identity for per-client quota accounting
     #: (additive v1 field; :data:`CLIENT_HEADER` is the header form).
-    client_id: str | None = None
+    client_id: str | None = _wire(_CLIENT_ID, optional=True)
     #: Optional priority lane (additive v1 field; one of
     #: :data:`PRIORITY_LANES`, default ``interactive`` server-side).
-    priority: str | None = None
+    priority: str | None = _wire(_LANE, optional=True)
 
     @classmethod
     def from_graphs(
@@ -482,62 +634,9 @@ class PredictRequest:
     ) -> "PredictRequest":
         return cls(structures=[StructurePayload.from_graph(g) for g in graphs], model=model)
 
-    def to_json_dict(self) -> dict:
-        # Emit the lowest version that can carry the payload: v2 only
-        # when some structure ships precomputed edges.
-        version = "v2" if any(s.has_edges for s in self.structures) else SCHEMA_VERSION
-        payload: dict[str, Any] = {
-            "schema_version": version,
-            "structures": [structure.to_json_dict() for structure in self.structures],
-        }
-        if self.model is not None:
-            payload["model"] = self.model
-        if self.deadline_ms is not None:
-            payload["deadline_ms"] = float(self.deadline_ms)
-        if self.client_id is not None:
-            payload["client_id"] = self.client_id
-        if self.priority is not None:
-            payload["priority"] = self.priority
-        return payload
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "PredictRequest":
-        _expect_keys(
-            obj,
-            {"schema_version", "structures"},
-            {"model", "deadline_ms", "client_id", "priority"},
-            "request",
-        )
-        version = _expect_version(obj, "request", supported=SUPPORTED_VERSIONS)
-        structures = obj["structures"]
-        if not isinstance(structures, list) or not structures:
-            raise SchemaError("request.structures: expected a non-empty list")
-        if len(structures) > MAX_STRUCTURES_PER_REQUEST:
-            raise SchemaError(
-                f"request.structures: at most {MAX_STRUCTURES_PER_REQUEST} structures "
-                f"per request, got {len(structures)}"
-            )
-        model = obj.get("model")
-        if model is not None and not isinstance(model, str):
-            raise SchemaError("request.model: expected a string")
-        return cls(
-            structures=[
-                StructurePayload.from_json_dict(
-                    entry,
-                    where=f"request.structures[{index}]",
-                    allow_edges=(version == "v2"),
-                )
-                for index, entry in enumerate(structures)
-            ],
-            model=model,
-            deadline_ms=validate_deadline_ms(obj.get("deadline_ms"), "request.deadline_ms"),
-            client_id=validate_client_id(obj.get("client_id"), "request.client_id"),
-            priority=validate_priority(obj.get("priority"), "request.priority"),
-        )
-
 
 @dataclass
-class PredictionPayload:
+class PredictionPayload(_Wire, where="result"):
     """One structure's prediction as it crosses the wire.
 
     Mirrors :class:`~repro.serving.service.PredictionResult` — energy,
@@ -545,93 +644,30 @@ class PredictionPayload:
     or normalized units?) a client needs to interpret and debug it.
     """
 
-    key: str
-    energy: float
-    forces: np.ndarray
-    n_atoms: int
-    cached: bool
-    batch_graphs: int
-    physical_units: bool
-    latency_s: float = 0.0
+    key: str = _wire(_STR)
+    energy: float = _wire(_NUMBER)
+    forces: np.ndarray = _wire(_Matrix("n_atoms"))
+    n_atoms: int = _wire(_POSITIVE_INT)
+    cached: bool = _wire(_BOOL)
+    batch_graphs: int = _wire(_INT)
+    physical_units: bool = _wire(_BOOL)
+    latency_s: float = _wire(_NUMBER, missing=0.0, default=0.0)
 
     @classmethod
     def from_result(cls, result: PredictionResult) -> "PredictionPayload":
-        return cls(
-            key=result.key,
-            energy=float(result.energy),
-            forces=np.asarray(result.forces, dtype=np.float64),
-            n_atoms=result.n_atoms,
-            cached=result.cached,
-            batch_graphs=result.batch_graphs,
-            physical_units=result.physical_units,
-            latency_s=float(result.latency_s),
-        )
+        return _mirror(cls, result)
 
     def to_result(self) -> PredictionResult:
         """Rebuild the in-process result type clients already consume."""
-        return PredictionResult(
-            key=self.key,
-            energy=self.energy,
-            forces=np.asarray(self.forces, dtype=np.float64),
-            n_atoms=self.n_atoms,
-            cached=self.cached,
-            latency_s=self.latency_s,
-            batch_graphs=self.batch_graphs,
-            physical_units=self.physical_units,
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "key": self.key,
-            "energy": float(self.energy),
-            "forces": _matrix_to_json(self.forces),
-            "n_atoms": int(self.n_atoms),
-            "cached": bool(self.cached),
-            "batch_graphs": int(self.batch_graphs),
-            "physical_units": bool(self.physical_units),
-            "latency_s": float(self.latency_s),
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict, where: str = "result") -> "PredictionPayload":
-        _expect_keys(
-            obj,
-            {"key", "energy", "forces", "n_atoms", "cached", "batch_graphs", "physical_units"},
-            {"latency_s"},
-            where,
-        )
-        if not isinstance(obj["key"], str):
-            raise SchemaError(f"{where}.key: expected a string")
-        energy = obj["energy"]
-        if isinstance(energy, bool) or not isinstance(energy, (int, float)):
-            raise SchemaError(f"{where}.energy: expected a number")
-        n_atoms = obj["n_atoms"]
-        if isinstance(n_atoms, bool) or not isinstance(n_atoms, int) or n_atoms < 1:
-            raise SchemaError(f"{where}.n_atoms: expected a positive int")
-        forces = _float_matrix(obj["forces"], (n_atoms, 3), f"{where}.forces")
-        for flag in ("cached", "physical_units"):
-            if not isinstance(obj[flag], bool):
-                raise SchemaError(f"{where}.{flag}: expected a boolean")
-        if isinstance(obj["batch_graphs"], bool) or not isinstance(obj["batch_graphs"], int):
-            raise SchemaError(f"{where}.batch_graphs: expected an int")
-        return cls(
-            key=obj["key"],
-            energy=float(energy),
-            forces=forces,
-            n_atoms=n_atoms,
-            cached=obj["cached"],
-            batch_graphs=obj["batch_graphs"],
-            physical_units=obj["physical_units"],
-            latency_s=float(obj.get("latency_s", 0.0)),
-        )
+        return _mirror(PredictionResult, self)
 
 
 @dataclass
-class PredictResponse:
+class PredictResponse(_Wire, where="response", versions=(SCHEMA_VERSION,)):
     """``POST /v1/predict`` success body: results in request order."""
 
-    model: str
-    results: list[PredictionPayload]
+    model: str = _wire(_STR)
+    results: list[PredictionPayload] = _wire(_Nested(PredictionPayload, many=True))
 
     @classmethod
     def from_results(
@@ -642,29 +678,6 @@ class PredictResponse:
     def to_results(self) -> list[PredictionResult]:
         return [payload.to_result() for payload in self.results]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "model": self.model,
-            "results": [payload.to_json_dict() for payload in self.results],
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "PredictResponse":
-        _expect_keys(obj, {"schema_version", "model", "results"}, set(), "response")
-        _expect_version(obj, "response")
-        if not isinstance(obj["model"], str):
-            raise SchemaError("response.model: expected a string")
-        if not isinstance(obj["results"], list):
-            raise SchemaError("response.results: expected a list")
-        return cls(
-            model=obj["model"],
-            results=[
-                PredictionPayload.from_json_dict(entry, where=f"response.results[{index}]")
-                for index, entry in enumerate(obj["results"])
-            ],
-        )
-
 
 # ----------------------------------------------------------------------
 # Relax request / response
@@ -674,7 +687,7 @@ RELAX_REASONS = ("fmax", "step", "max_steps")
 
 
 @dataclass
-class RelaxRequest:
+class RelaxRequest(_Wire, where="relax request", versions=SUPPORTED_VERSIONS):
     """``POST /v1/relax`` body: one structure plus optional relax knobs.
 
     Unset knobs take the server's :class:`~repro.serving.relax.RelaxSettings`
@@ -682,92 +695,27 @@ class RelaxRequest:
     request connectivity the model was not trained on).
     """
 
-    structure: StructurePayload
-    model: str | None = None
-    max_steps: int | None = None
-    fmax: float | None = None
-    max_step: float | None = None
-    skin: float | None = None
+    structure: StructurePayload = _wire(_Nested(StructurePayload))
+    model: str | None = _wire(_STR, optional=True)
+    max_steps: int | None = _wire(_int_in(1, MAX_RELAX_STEPS), knob=True)
+    fmax: float | None = _wire(_POSITIVE, knob=True)
+    max_step: float | None = _wire(_POSITIVE, knob=True)
+    skin: float | None = _wire(_POSITIVE, knob=True)
     #: Optional latency budget in ms (see :class:`PredictRequest`);
     #: a descent re-checks it before every force evaluation.
-    deadline_ms: float | None = None
+    deadline_ms: float | None = _wire(_DEADLINE, optional=True)
     #: Optional identity / lane (see :class:`PredictRequest`); one relax
     #: is one admission decision, not one per force evaluation.
-    client_id: str | None = None
-    priority: str | None = None
+    client_id: str | None = _wire(_CLIENT_ID, optional=True)
+    priority: str | None = _wire(_LANE, optional=True)
 
     def to_settings(self, cutoff: float, max_neighbors: int | None = None) -> RelaxSettings:
         """Server-side settings: request overrides on top of defaults."""
-        overrides = {
-            name: value
-            for name in ("max_steps", "fmax", "max_step", "skin")
-            if (value := getattr(self, name)) is not None
-        }
-        return RelaxSettings(cutoff=cutoff, max_neighbors=max_neighbors, **overrides)
-
-    def to_json_dict(self) -> dict:
-        version = "v2" if self.structure.has_edges else SCHEMA_VERSION
-        payload: dict[str, Any] = {
-            "schema_version": version,
-            "structure": self.structure.to_json_dict(),
-        }
-        if self.model is not None:
-            payload["model"] = self.model
-        for name in ("max_steps", "fmax", "max_step", "skin", "deadline_ms", "client_id", "priority"):
-            value = getattr(self, name)
-            if value is not None:
-                payload[name] = value
-        return payload
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "RelaxRequest":
-        _expect_keys(
-            obj,
-            {"schema_version", "structure"},
-            {"model", "max_steps", "fmax", "max_step", "skin", "deadline_ms", "client_id", "priority"},
-            "relax request",
-        )
-        version = _expect_version(obj, "relax request", supported=SUPPORTED_VERSIONS)
-        model = obj.get("model")
-        if model is not None and not isinstance(model, str):
-            raise SchemaError("relax request.model: expected a string")
-        max_steps = obj.get("max_steps")
-        if max_steps is not None:
-            if isinstance(max_steps, bool) or not isinstance(max_steps, int):
-                raise SchemaError("relax request.max_steps: expected an int")
-            if not 1 <= max_steps <= MAX_RELAX_STEPS:
-                raise SchemaError(
-                    f"relax request.max_steps: must be in [1, {MAX_RELAX_STEPS}]"
-                )
-        for name in ("fmax", "max_step", "skin"):
-            value = obj.get(name)
-            if value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise SchemaError(f"relax request.{name}: expected a number")
-            if not (math.isfinite(value) and value > 0):
-                raise SchemaError(f"relax request.{name}: must be positive and finite")
-        return cls(
-            structure=StructurePayload.from_json_dict(
-                obj["structure"],
-                where="relax request.structure",
-                allow_edges=(version == "v2"),
-            ),
-            model=model,
-            max_steps=max_steps,
-            fmax=None if obj.get("fmax") is None else float(obj["fmax"]),
-            max_step=None if obj.get("max_step") is None else float(obj["max_step"]),
-            skin=None if obj.get("skin") is None else float(obj["skin"]),
-            deadline_ms=validate_deadline_ms(
-                obj.get("deadline_ms"), "relax request.deadline_ms"
-            ),
-            client_id=validate_client_id(obj.get("client_id"), "relax request.client_id"),
-            priority=validate_priority(obj.get("priority"), "relax request.priority"),
-        )
+        return RelaxSettings(cutoff=cutoff, max_neighbors=max_neighbors, **_knobs(self))
 
 
 @dataclass
-class RelaxationPayload:
+class RelaxationPayload(_Wire, where="relaxation"):
     """One relaxation outcome as it crosses the wire.
 
     Mirrors :class:`~repro.serving.relax.RelaxResult` field for field,
@@ -775,130 +723,34 @@ class RelaxationPayload:
     descent rode the incremental neighbor-list path.
     """
 
-    converged: bool
-    reason: str
-    steps: int
-    energy: float
-    energy_initial: float
-    fmax: float
-    positions: np.ndarray
-    forces: np.ndarray
-    n_atoms: int
-    physical_units: bool
-    neighbor_rebuilds: int
-    neighbor_reuses: int
+    converged: bool = _wire(_BOOL)
+    reason: str = _wire(_one_of(RELAX_REASONS))
+    steps: int = _wire(_COUNT)
+    energy: float = _wire(_FINITE)
+    energy_initial: float = _wire(_FINITE)
+    fmax: float = _wire(_FINITE)
+    positions: np.ndarray = _wire(_Matrix("n_atoms"))
+    forces: np.ndarray = _wire(_Matrix("n_atoms"))
+    n_atoms: int = _wire(_POSITIVE_INT)
+    physical_units: bool = _wire(_BOOL)
+    neighbor_rebuilds: int = _wire(_COUNT)
+    neighbor_reuses: int = _wire(_COUNT)
 
     @classmethod
     def from_result(cls, result: RelaxResult) -> "RelaxationPayload":
-        return cls(
-            converged=result.converged,
-            reason=result.reason,
-            steps=result.steps,
-            energy=float(result.energy),
-            energy_initial=float(result.energy_initial),
-            fmax=float(result.fmax),
-            positions=np.asarray(result.positions, dtype=np.float64),
-            forces=np.asarray(result.forces, dtype=np.float64),
-            n_atoms=result.n_atoms,
-            physical_units=result.physical_units,
-            neighbor_rebuilds=result.neighbor_rebuilds,
-            neighbor_reuses=result.neighbor_reuses,
-        )
+        return _mirror(cls, result)
 
     def to_result(self) -> RelaxResult:
         """Rebuild the in-process result type clients already consume."""
-        return RelaxResult(
-            converged=self.converged,
-            reason=self.reason,
-            steps=self.steps,
-            energy=self.energy,
-            energy_initial=self.energy_initial,
-            fmax=self.fmax,
-            positions=np.asarray(self.positions, dtype=np.float64),
-            forces=np.asarray(self.forces, dtype=np.float64),
-            n_atoms=self.n_atoms,
-            physical_units=self.physical_units,
-            neighbor_rebuilds=self.neighbor_rebuilds,
-            neighbor_reuses=self.neighbor_reuses,
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "converged": bool(self.converged),
-            "reason": self.reason,
-            "steps": int(self.steps),
-            "energy": float(self.energy),
-            "energy_initial": float(self.energy_initial),
-            "fmax": float(self.fmax),
-            "positions": _matrix_to_json(self.positions),
-            "forces": _matrix_to_json(self.forces),
-            "n_atoms": int(self.n_atoms),
-            "physical_units": bool(self.physical_units),
-            "neighbor_rebuilds": int(self.neighbor_rebuilds),
-            "neighbor_reuses": int(self.neighbor_reuses),
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict, where: str = "relaxation") -> "RelaxationPayload":
-        _expect_keys(
-            obj,
-            {
-                "converged",
-                "reason",
-                "steps",
-                "energy",
-                "energy_initial",
-                "fmax",
-                "positions",
-                "forces",
-                "n_atoms",
-                "physical_units",
-                "neighbor_rebuilds",
-                "neighbor_reuses",
-            },
-            set(),
-            where,
-        )
-        for flag in ("converged", "physical_units"):
-            if not isinstance(obj[flag], bool):
-                raise SchemaError(f"{where}.{flag}: expected a boolean")
-        if obj["reason"] not in RELAX_REASONS:
-            raise SchemaError(f"{where}.reason: expected one of {list(RELAX_REASONS)}")
-        for name in ("steps", "n_atoms", "neighbor_rebuilds", "neighbor_reuses"):
-            value = obj[name]
-            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-                raise SchemaError(f"{where}.{name}: expected a non-negative int")
-        if obj["n_atoms"] < 1:
-            raise SchemaError(f"{where}.n_atoms: expected a positive int")
-        for name in ("energy", "energy_initial", "fmax"):
-            value = obj[name]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise SchemaError(f"{where}.{name}: expected a number")
-            if not math.isfinite(value):
-                raise SchemaError(f"{where}.{name}: non-finite value {value!r}")
-        n_atoms = obj["n_atoms"]
-        return cls(
-            converged=obj["converged"],
-            reason=obj["reason"],
-            steps=obj["steps"],
-            energy=float(obj["energy"]),
-            energy_initial=float(obj["energy_initial"]),
-            fmax=float(obj["fmax"]),
-            positions=_float_matrix(obj["positions"], (n_atoms, 3), f"{where}.positions"),
-            forces=_float_matrix(obj["forces"], (n_atoms, 3), f"{where}.forces"),
-            n_atoms=n_atoms,
-            physical_units=obj["physical_units"],
-            neighbor_rebuilds=obj["neighbor_rebuilds"],
-            neighbor_reuses=obj["neighbor_reuses"],
-        )
+        return _mirror(RelaxResult, self)
 
 
 @dataclass
-class RelaxResponse:
+class RelaxResponse(_Wire, where="relax response", versions=(SCHEMA_VERSION,)):
     """``POST /v1/relax`` success body."""
 
-    model: str
-    result: RelaxationPayload
+    model: str = _wire(_STR)
+    result: RelaxationPayload = _wire(_Nested(RelaxationPayload))
 
     @classmethod
     def from_result(cls, model: str, result: RelaxResult) -> "RelaxResponse":
@@ -907,32 +759,12 @@ class RelaxResponse:
     def to_result(self) -> RelaxResult:
         return self.result.to_result()
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "model": self.model,
-            "result": self.result.to_json_dict(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "RelaxResponse":
-        _expect_keys(obj, {"schema_version", "model", "result"}, set(), "relax response")
-        _expect_version(obj, "relax response")
-        if not isinstance(obj["model"], str):
-            raise SchemaError("relax response.model: expected a string")
-        return cls(
-            model=obj["model"],
-            result=RelaxationPayload.from_json_dict(
-                obj["result"], where="relax response.result"
-            ),
-        )
-
 
 # ----------------------------------------------------------------------
 # MD request / streamed frames / terminal summary
 # ----------------------------------------------------------------------
 @dataclass
-class MDRequest:
+class MDRequest(_Wire, where="md request", versions=SUPPORTED_VERSIONS):
     """``POST /v1/md`` body: one structure plus optional integrator knobs.
 
     Unset knobs take the server's :class:`~repro.serving.md.MDSettings`
@@ -947,145 +779,32 @@ class MDRequest:
     chunk client-side (``Client.md(chunk_steps=...)``).
     """
 
-    structure: StructurePayload
-    model: str | None = None
-    n_steps: int | None = None
-    timestep_fs: float | None = None
-    thermostat: str | None = None
-    temperature_k: float | None = None
-    friction: float | None = None
-    tau_fs: float | None = None
-    seed: int | None = None
-    frame_interval: int | None = None
-    step_offset: int | None = None
-    velocities: np.ndarray | None = None
-    skin: float | None = None
-    deadline_ms: float | None = None
+    structure: StructurePayload = _wire(_Nested(StructurePayload))
+    model: str | None = _wire(_STR, optional=True)
+    n_steps: int | None = _wire(_int_in(1, MAX_MD_STEPS), knob=True)
+    timestep_fs: float | None = _wire(_POSITIVE, knob=True)
+    thermostat: str | None = _wire(_one_of(MD_THERMOSTATS), knob=True)
+    temperature_k: float | None = _wire(_NON_NEGATIVE, knob=True)
+    friction: float | None = _wire(_POSITIVE, knob=True)
+    tau_fs: float | None = _wire(_POSITIVE, knob=True)
+    seed: int | None = _wire(_int_in(0, 2**63 - 1), knob=True)
+    frame_interval: int | None = _wire(_int_in(1, MAX_MD_STEPS), knob=True)
+    step_offset: int | None = _wire(_int_in(0, MAX_MD_STEP_OFFSET), knob=True)
+    velocities: np.ndarray | None = _wire(_Matrix("structure.atomic_numbers"), knob=True, last=True)
+    skin: float | None = _wire(_POSITIVE, knob=True)
+    deadline_ms: float | None = _wire(_DEADLINE, optional=True)
     #: Optional identity / lane (see :class:`PredictRequest`); one MD run
     #: is one admission decision, not one per force evaluation.
-    client_id: str | None = None
-    priority: str | None = None
-
-    _KNOBS = (
-        "n_steps",
-        "timestep_fs",
-        "thermostat",
-        "temperature_k",
-        "friction",
-        "tau_fs",
-        "seed",
-        "frame_interval",
-        "step_offset",
-        "skin",
-    )
+    client_id: str | None = _wire(_CLIENT_ID, optional=True)
+    priority: str | None = _wire(_LANE, optional=True)
 
     def to_settings(self, cutoff: float, max_neighbors: int | None = None) -> MDSettings:
         """Server-side settings: request overrides on top of defaults."""
-        overrides = {
-            name: value
-            for name in self._KNOBS
-            if (value := getattr(self, name)) is not None
-        }
-        return MDSettings(
-            cutoff=cutoff,
-            max_neighbors=max_neighbors,
-            velocities=self.velocities,
-            **overrides,
-        )
-
-    def to_json_dict(self) -> dict:
-        version = "v2" if self.structure.has_edges else SCHEMA_VERSION
-        payload: dict[str, Any] = {
-            "schema_version": version,
-            "structure": self.structure.to_json_dict(),
-        }
-        if self.model is not None:
-            payload["model"] = self.model
-        for name in self._KNOBS + ("deadline_ms", "client_id", "priority"):
-            value = getattr(self, name)
-            if value is not None:
-                payload[name] = value
-        if self.velocities is not None:
-            payload["velocities"] = _matrix_to_json(self.velocities)
-        return payload
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "MDRequest":
-        _expect_keys(
-            obj,
-            {"schema_version", "structure"},
-            set(cls._KNOBS) | {"model", "velocities", "deadline_ms", "client_id", "priority"},
-            "md request",
-        )
-        version = _expect_version(obj, "md request", supported=SUPPORTED_VERSIONS)
-        model = obj.get("model")
-        if model is not None and not isinstance(model, str):
-            raise SchemaError("md request.model: expected a string")
-        bounds = {
-            "n_steps": (1, MAX_MD_STEPS),
-            "seed": (0, 2**63 - 1),
-            "frame_interval": (1, MAX_MD_STEPS),
-            "step_offset": (0, MAX_MD_STEP_OFFSET),
-        }
-        for name, (low, high) in bounds.items():
-            value = obj.get(name)
-            if value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise SchemaError(f"md request.{name}: expected an int")
-            if not low <= value <= high:
-                raise SchemaError(f"md request.{name}: must be in [{low}, {high}]")
-        for name in ("timestep_fs", "friction", "tau_fs", "skin"):
-            value = obj.get(name)
-            if value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise SchemaError(f"md request.{name}: expected a number")
-            if not (math.isfinite(value) and value > 0):
-                raise SchemaError(f"md request.{name}: must be positive and finite")
-        thermostat = obj.get("thermostat")
-        if thermostat is not None and thermostat not in MD_THERMOSTATS:
-            raise SchemaError(
-                f"md request.thermostat: expected one of {list(MD_THERMOSTATS)}"
-            )
-        temperature_k = obj.get("temperature_k")
-        if temperature_k is not None:
-            if isinstance(temperature_k, bool) or not isinstance(temperature_k, (int, float)):
-                raise SchemaError("md request.temperature_k: expected a number")
-            if not (math.isfinite(temperature_k) and temperature_k >= 0):
-                raise SchemaError("md request.temperature_k: must be finite and >= 0")
-        structure = StructurePayload.from_json_dict(
-            obj["structure"], where="md request.structure", allow_edges=(version == "v2")
-        )
-        velocities = None
-        if obj.get("velocities") is not None:
-            velocities = _float_matrix(
-                obj["velocities"],
-                (len(structure.atomic_numbers), 3),
-                "md request.velocities",
-            )
-        return cls(
-            structure=structure,
-            model=model,
-            n_steps=obj.get("n_steps"),
-            timestep_fs=None if obj.get("timestep_fs") is None else float(obj["timestep_fs"]),
-            thermostat=thermostat,
-            temperature_k=None if temperature_k is None else float(temperature_k),
-            friction=None if obj.get("friction") is None else float(obj["friction"]),
-            tau_fs=None if obj.get("tau_fs") is None else float(obj["tau_fs"]),
-            seed=obj.get("seed"),
-            frame_interval=obj.get("frame_interval"),
-            step_offset=obj.get("step_offset"),
-            velocities=velocities,
-            skin=None if obj.get("skin") is None else float(obj["skin"]),
-            deadline_ms=validate_deadline_ms(obj.get("deadline_ms"), "md request.deadline_ms"),
-            client_id=validate_client_id(obj.get("client_id"), "md request.client_id"),
-            priority=validate_priority(obj.get("priority"), "md request.priority"),
-        )
+        return MDSettings(cutoff=cutoff, max_neighbors=max_neighbors, **_knobs(self))
 
 
 @dataclass
-class MDFramePayload:
+class MDFramePayload(_Wire, where="md frame", versions=(SCHEMA_VERSION,), envelope="frame"):
     """One streamed trajectory snapshot (an NDJSON ``frame`` line).
 
     Mirrors :class:`~repro.serving.md.MDFrame`.  Positions are Å;
@@ -1094,84 +813,24 @@ class MDFramePayload:
     frame reproduces the uninterrupted trajectory exactly.
     """
 
-    step: int
-    energy: float
-    kinetic_energy: float
-    temperature_k: float
-    positions: np.ndarray
-    velocities: np.ndarray
+    step: int = _wire(_COUNT)
+    energy: float = _wire(_FINITE)
+    kinetic_energy: float = _wire(_FINITE)
+    temperature_k: float = _wire(_FINITE)
+    positions: np.ndarray = _wire(_Matrix())
+    velocities: np.ndarray = _wire(_Matrix("positions"))
 
     @classmethod
     def from_frame(cls, frame: MDFrame) -> "MDFramePayload":
-        return cls(
-            step=int(frame.step),
-            energy=float(frame.energy),
-            kinetic_energy=float(frame.kinetic_energy),
-            temperature_k=float(frame.temperature_k),
-            positions=np.asarray(frame.positions, dtype=np.float64),
-            velocities=np.asarray(frame.velocities, dtype=np.float64),
-        )
+        return _mirror(cls, frame)
 
     def to_frame(self) -> MDFrame:
         """Rebuild the in-process frame type clients already consume."""
-        return MDFrame(
-            step=self.step,
-            energy=self.energy,
-            kinetic_energy=self.kinetic_energy,
-            temperature_k=self.temperature_k,
-            positions=np.asarray(self.positions, dtype=np.float64),
-            velocities=np.asarray(self.velocities, dtype=np.float64),
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "frame": {
-                "step": int(self.step),
-                "energy": float(self.energy),
-                "kinetic_energy": float(self.kinetic_energy),
-                "temperature_k": float(self.temperature_k),
-                "positions": _matrix_to_json(self.positions),
-                "velocities": _matrix_to_json(self.velocities),
-            },
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "MDFramePayload":
-        _expect_keys(obj, {"schema_version", "frame"}, set(), "md frame")
-        _expect_version(obj, "md frame")
-        body = obj["frame"]
-        _expect_keys(
-            body,
-            {"step", "energy", "kinetic_energy", "temperature_k", "positions", "velocities"},
-            set(),
-            "md frame.frame",
-        )
-        step = body["step"]
-        if isinstance(step, bool) or not isinstance(step, int) or step < 0:
-            raise SchemaError("md frame.frame.step: expected a non-negative int")
-        for name in ("energy", "kinetic_energy", "temperature_k"):
-            value = body[name]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise SchemaError(f"md frame.frame.{name}: expected a number")
-            if not math.isfinite(value):
-                raise SchemaError(f"md frame.frame.{name}: non-finite value {value!r}")
-        positions = _float_matrix(body["positions"], (None, 3), "md frame.frame.positions")
-        velocities = _float_matrix(
-            body["velocities"], (len(positions), 3), "md frame.frame.velocities"
-        )
-        return cls(
-            step=step,
-            energy=float(body["energy"]),
-            kinetic_energy=float(body["kinetic_energy"]),
-            temperature_k=float(body["temperature_k"]),
-            positions=positions,
-            velocities=velocities,
-        )
+        return _mirror(MDFrame, self)
 
 
 @dataclass
-class MDResultPayload:
+class MDResultPayload(_Wire, where="md summary"):
     """Terminal MD summary as it crosses the wire.
 
     Mirrors :class:`~repro.serving.md.MDResult` field for field,
@@ -1179,131 +838,29 @@ class MDResultPayload:
     payload so clients read one vocabulary.
     """
 
-    steps: int
-    first_step: int
-    final_step: int
-    frames: int
-    energy: float
-    kinetic_energy: float
-    temperature_k: float
-    thermostat: str
-    n_atoms: int
-    physical_units: bool
-    neighbor_rebuilds: int
-    neighbor_reuses: int
+    steps: int = _wire(_COUNT)
+    first_step: int = _wire(_COUNT)
+    final_step: int = _wire(_COUNT)
+    frames: int = _wire(_COUNT)
+    energy: float = _wire(_FINITE)
+    kinetic_energy: float = _wire(_FINITE)
+    temperature_k: float = _wire(_FINITE)
+    thermostat: str = _wire(_one_of(MD_THERMOSTATS))
+    n_atoms: int = _wire(_POSITIVE_INT)
+    physical_units: bool = _wire(_BOOL)
+    neighbor_rebuilds: int = _wire(_COUNT)
+    neighbor_reuses: int = _wire(_COUNT)
 
     @classmethod
     def from_result(cls, result: MDResult) -> "MDResultPayload":
-        return cls(
-            steps=int(result.steps),
-            first_step=int(result.first_step),
-            final_step=int(result.final_step),
-            frames=int(result.frames),
-            energy=float(result.energy),
-            kinetic_energy=float(result.kinetic_energy),
-            temperature_k=float(result.temperature_k),
-            thermostat=result.thermostat,
-            n_atoms=int(result.n_atoms),
-            physical_units=bool(result.physical_units),
-            neighbor_rebuilds=int(result.neighbor_rebuilds),
-            neighbor_reuses=int(result.neighbor_reuses),
-        )
+        return _mirror(cls, result)
 
     def to_result(self) -> MDResult:
-        return MDResult(
-            steps=self.steps,
-            first_step=self.first_step,
-            final_step=self.final_step,
-            frames=self.frames,
-            energy=self.energy,
-            kinetic_energy=self.kinetic_energy,
-            temperature_k=self.temperature_k,
-            thermostat=self.thermostat,
-            n_atoms=self.n_atoms,
-            physical_units=self.physical_units,
-            neighbor_rebuilds=self.neighbor_rebuilds,
-            neighbor_reuses=self.neighbor_reuses,
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "steps": int(self.steps),
-            "first_step": int(self.first_step),
-            "final_step": int(self.final_step),
-            "frames": int(self.frames),
-            "energy": float(self.energy),
-            "kinetic_energy": float(self.kinetic_energy),
-            "temperature_k": float(self.temperature_k),
-            "thermostat": self.thermostat,
-            "n_atoms": int(self.n_atoms),
-            "physical_units": bool(self.physical_units),
-            "neighbor_rebuilds": int(self.neighbor_rebuilds),
-            "neighbor_reuses": int(self.neighbor_reuses),
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict, where: str = "md summary") -> "MDResultPayload":
-        _expect_keys(
-            obj,
-            {
-                "steps",
-                "first_step",
-                "final_step",
-                "frames",
-                "energy",
-                "kinetic_energy",
-                "temperature_k",
-                "thermostat",
-                "n_atoms",
-                "physical_units",
-                "neighbor_rebuilds",
-                "neighbor_reuses",
-            },
-            set(),
-            where,
-        )
-        for name in (
-            "steps",
-            "first_step",
-            "final_step",
-            "frames",
-            "n_atoms",
-            "neighbor_rebuilds",
-            "neighbor_reuses",
-        ):
-            value = obj[name]
-            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-                raise SchemaError(f"{where}.{name}: expected a non-negative int")
-        if obj["n_atoms"] < 1:
-            raise SchemaError(f"{where}.n_atoms: expected a positive int")
-        if obj["thermostat"] not in MD_THERMOSTATS:
-            raise SchemaError(f"{where}.thermostat: expected one of {list(MD_THERMOSTATS)}")
-        if not isinstance(obj["physical_units"], bool):
-            raise SchemaError(f"{where}.physical_units: expected a boolean")
-        for name in ("energy", "kinetic_energy", "temperature_k"):
-            value = obj[name]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise SchemaError(f"{where}.{name}: expected a number")
-            if not math.isfinite(value):
-                raise SchemaError(f"{where}.{name}: non-finite value {value!r}")
-        return cls(
-            steps=obj["steps"],
-            first_step=obj["first_step"],
-            final_step=obj["final_step"],
-            frames=obj["frames"],
-            energy=float(obj["energy"]),
-            kinetic_energy=float(obj["kinetic_energy"]),
-            temperature_k=float(obj["temperature_k"]),
-            thermostat=obj["thermostat"],
-            n_atoms=obj["n_atoms"],
-            physical_units=obj["physical_units"],
-            neighbor_rebuilds=obj["neighbor_rebuilds"],
-            neighbor_reuses=obj["neighbor_reuses"],
-        )
+        return _mirror(MDResult, self)
 
 
 @dataclass
-class MDResponse:
+class MDResponse(_Wire, where="md response", versions=(SCHEMA_VERSION,)):
     """``POST /v1/md`` terminal summary (the stream's last NDJSON line).
 
     The ``summary`` key is the stream-integrity marker: a well-formed
@@ -1313,8 +870,8 @@ class MDResponse:
     treat it as a transport error (and resume from the last frame).
     """
 
-    model: str
-    result: MDResultPayload
+    model: str = _wire(_STR)
+    result: MDResultPayload = _wire(_Nested(MDResultPayload), key="summary")
 
     @classmethod
     def from_result(cls, model: str, result: MDResult) -> "MDResponse":
@@ -1323,40 +880,22 @@ class MDResponse:
     def to_result(self) -> MDResult:
         return self.result.to_result()
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "model": self.model,
-            "summary": self.result.to_json_dict(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "MDResponse":
-        _expect_keys(obj, {"schema_version", "model", "summary"}, set(), "md response")
-        _expect_version(obj, "md response")
-        if not isinstance(obj["model"], str):
-            raise SchemaError("md response.model: expected a string")
-        return cls(
-            model=obj["model"],
-            result=MDResultPayload.from_json_dict(obj["summary"], where="md response.summary"),
-        )
-
 
 # ----------------------------------------------------------------------
 # Errors, server info, stats
 # ----------------------------------------------------------------------
 @dataclass
-class ErrorPayload:
+class ErrorPayload(_Wire, where="error payload", versions=(SCHEMA_VERSION,), envelope="error"):
     """JSON body every non-2xx response carries."""
 
-    code: str
-    message: str
-    status: int
+    code: str = _wire(_STR)
+    message: str = _wire(_STR)
+    status: int = _wire(_INT)
     #: Honest backoff hint in seconds, carried on retryable rejections
     #: (429/503) alongside the HTTP ``Retry-After`` header — in the body
     #: too so the hint survives transports that drop response headers
     #: (additive v1 field).
-    retry_after_s: float | None = None
+    retry_after_s: float | None = _wire(_NON_NEGATIVE, optional=True)
 
     @classmethod
     def from_error(cls, error: ApiError) -> "ErrorPayload":
@@ -1376,83 +915,29 @@ class ErrorPayload:
             error.retry_after_s = float(self.retry_after_s)
         return error
 
-    def to_json_dict(self) -> dict:
-        body: dict[str, Any] = {
-            "code": self.code,
-            "message": self.message,
-            "status": self.status,
-        }
-        if self.retry_after_s is not None:
-            body["retry_after_s"] = float(self.retry_after_s)
-        return {"schema_version": SCHEMA_VERSION, "error": body}
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "ErrorPayload":
-        _expect_keys(obj, {"schema_version", "error"}, set(), "error payload")
-        _expect_version(obj, "error payload")
-        body = obj["error"]
-        _expect_keys(
-            body, {"code", "message", "status"}, {"retry_after_s"}, "error payload.error"
-        )
-        if not isinstance(body["code"], str) or not isinstance(body["message"], str):
-            raise SchemaError("error payload: code and message must be strings")
-        if isinstance(body["status"], bool) or not isinstance(body["status"], int):
-            raise SchemaError("error payload: status must be an int")
-        retry_after = body.get("retry_after_s")
-        if retry_after is not None:
-            if isinstance(retry_after, bool) or not isinstance(retry_after, (int, float)):
-                raise SchemaError("error payload: retry_after_s must be a number")
-            if not (math.isfinite(retry_after) and retry_after >= 0):
-                raise SchemaError("error payload: retry_after_s must be finite and >= 0")
-        return cls(
-            code=body["code"],
-            message=body["message"],
-            status=body["status"],
-            retry_after_s=None if retry_after is None else float(retry_after),
-        )
-
 
 @dataclass
-class ServerInfo:
+class ServerInfo(_Wire, where="info", versions=(SCHEMA_VERSION,)):
     """``GET /v1/models`` body: what this server serves and where."""
 
-    models: list[dict]
-    default_model: str | None = None
-    endpoints: tuple[str, ...] = (
-        "POST /v1/predict",
-        "POST /v1/relax",
-        "POST /v1/md",
-        "GET /v1/models",
-        "GET /v1/healthz",
-        "GET /v1/stats",
+    models: list[dict] = _wire(_LIST)
+    default_model: str | None = _wire(_STR, missing=None, default=None)
+    endpoints: tuple[str, ...] = _wire(
+        _STRINGS,
+        missing=(),
+        default=(
+            "POST /v1/predict",
+            "POST /v1/relax",
+            "POST /v1/md",
+            "GET /v1/models",
+            "GET /v1/healthz",
+            "GET /v1/stats",
+        ),
     )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "models": self.models,
-            "default_model": self.default_model,
-            "endpoints": list(self.endpoints),
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "ServerInfo":
-        _expect_keys(obj, {"schema_version", "models"}, {"default_model", "endpoints"}, "info")
-        _expect_version(obj, "info")
-        if not isinstance(obj["models"], list):
-            raise SchemaError("info.models: expected a list")
-        default_model = obj.get("default_model")
-        if default_model is not None and not isinstance(default_model, str):
-            raise SchemaError("info.default_model: expected a string")
-        return cls(
-            models=obj["models"],
-            default_model=default_model,
-            endpoints=tuple(obj.get("endpoints", ())),
-        )
 
 
 @dataclass
-class StatsSnapshot:
+class StatsSnapshot(_Wire, where="stats", versions=(SCHEMA_VERSION,)):
     """``GET /v1/stats`` body: per-model serving telemetry.
 
     Each model's entry carries the service's telemetry sections
@@ -1486,63 +971,12 @@ class StatsSnapshot:
     unknown sections inside each model entry.
     """
 
-    models: dict[str, dict] = field(default_factory=dict)
-    uptime_s: float | None = None
-    pid: int | None = None
-    replicas: dict[str, dict] | None = None
-    router: dict | None = None
-    watchdog: dict | None = None
-
-    def to_json_dict(self) -> dict:
-        payload: dict[str, Any] = {"schema_version": SCHEMA_VERSION, "models": self.models}
-        if self.uptime_s is not None:
-            payload["uptime_s"] = float(self.uptime_s)
-        if self.pid is not None:
-            payload["pid"] = int(self.pid)
-        if self.replicas is not None:
-            payload["replicas"] = self.replicas
-        if self.router is not None:
-            payload["router"] = self.router
-        if self.watchdog is not None:
-            payload["watchdog"] = self.watchdog
-        return payload
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "StatsSnapshot":
-        _expect_keys(
-            obj,
-            {"schema_version", "models"},
-            {"uptime_s", "pid", "replicas", "router", "watchdog"},
-            "stats",
-        )
-        _expect_version(obj, "stats")
-        if not isinstance(obj["models"], dict):
-            raise SchemaError("stats.models: expected an object keyed by model name")
-        uptime_s = obj.get("uptime_s")
-        if uptime_s is not None and (
-            isinstance(uptime_s, bool) or not isinstance(uptime_s, (int, float))
-        ):
-            raise SchemaError("stats.uptime_s: expected a number")
-        pid = obj.get("pid")
-        if pid is not None and (isinstance(pid, bool) or not isinstance(pid, int)):
-            raise SchemaError("stats.pid: expected an int")
-        replicas = obj.get("replicas")
-        if replicas is not None and not isinstance(replicas, dict):
-            raise SchemaError("stats.replicas: expected an object keyed by replica id")
-        router = obj.get("router")
-        if router is not None and not isinstance(router, dict):
-            raise SchemaError("stats.router: expected an object")
-        watchdog = obj.get("watchdog")
-        if watchdog is not None and not isinstance(watchdog, dict):
-            raise SchemaError("stats.watchdog: expected an object")
-        return cls(
-            models=obj["models"],
-            uptime_s=None if uptime_s is None else float(uptime_s),
-            pid=pid,
-            replicas=replicas,
-            router=router,
-            watchdog=watchdog,
-        )
+    models: dict[str, dict] = _wire(_OBJECT, default_factory=dict)
+    uptime_s: float | None = _wire(_NUMBER, optional=True)
+    pid: int | None = _wire(_INT, optional=True)
+    replicas: dict[str, dict] | None = _wire(_OBJECT, optional=True)
+    router: dict | None = _wire(_OBJECT, optional=True)
+    watchdog: dict | None = _wire(_OBJECT, optional=True)
 
 
 def structures_from_json(obj: Any) -> list[StructurePayload]:

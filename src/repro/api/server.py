@@ -506,6 +506,14 @@ class ApiGateway:
             service.stop()
 
 
+def _deadline_from_header(raw: str | None, where: str) -> float | None:
+    """``X-Repro-Deadline-Ms`` as a validated budget (the header is text)."""
+    try:
+        return validate_deadline_ms(None if raw is None else float(raw), where)
+    except ValueError:
+        raise SchemaError(f"{where}: expected a number, got {raw!r}") from None
+
+
 class _ApiRequestHandler(BaseHTTPRequestHandler):
     """Routes HTTP onto the gateway; all bodies are JSON."""
 
@@ -588,44 +596,25 @@ class _ApiRequestHandler(BaseHTTPRequestHandler):
         except Exception as error:  # noqa: BLE001 - boundary: no HTML tracebacks
             self._send_error_payload(ApiError(f"internal error: {error}"))
 
-    def _deadline_header_ms(self) -> float | None:
-        """Parse ``X-Repro-Deadline-Ms`` (wins over the body field)."""
-        raw = self.headers.get(DEADLINE_HEADER)
-        if raw is None:
-            return None
-        try:
-            return validate_deadline_ms(float(raw), DEADLINE_HEADER)
-        except (ValueError, SchemaError) as err:
-            # Rejecting before the body is read leaves bytes on the
-            # socket; drop the connection like _read_json_body does.
-            self.close_connection = True
-            if isinstance(err, SchemaError):
+    def _hop_headers(self) -> dict:
+        """Parse the deadline, client and priority headers.
+
+        Each wins over its body field.  A bad one is rejected before the
+        body is read, which leaves bytes on the socket, so the connection
+        drops like _read_json_body does.
+        """
+        parsed = {}
+        for name, header, validate in (
+            ("deadline_ms", DEADLINE_HEADER, _deadline_from_header),
+            ("client_id", CLIENT_HEADER, validate_client_id),
+            ("priority", PRIORITY_HEADER, validate_priority),
+        ):
+            try:
+                parsed[name] = validate(self.headers.get(header), header)
+            except SchemaError:
+                self.close_connection = True
                 raise
-            raise SchemaError(f"{DEADLINE_HEADER}: expected a number, got {raw!r}") from None
-
-    def _client_header(self) -> str | None:
-        """Parse ``X-Repro-Client`` (wins over the body's ``client_id``)."""
-        raw = self.headers.get(CLIENT_HEADER)
-        if raw is None:
-            return None
-        try:
-            return validate_client_id(raw, CLIENT_HEADER)
-        except SchemaError:
-            # Same keep-alive discipline as the deadline header: the body
-            # is still unread, so the connection must drop.
-            self.close_connection = True
-            raise
-
-    def _priority_header(self) -> str | None:
-        """Parse ``X-Repro-Priority`` (wins over the body's ``priority``)."""
-        raw = self.headers.get(PRIORITY_HEADER)
-        if raw is None:
-            return None
-        try:
-            return validate_priority(raw, PRIORITY_HEADER)
-        except SchemaError:
-            self.close_connection = True
-            raise
+        return parsed
 
     def _send_success(self, payload: dict) -> None:
         """Send a 200, running the body through fault corruption if armed.
@@ -693,45 +682,20 @@ class _ApiRequestHandler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
         try:
             if self.path == "/v1/predict":
-                deadline_ms = self._deadline_header_ms()
-                client_id = self._client_header()
-                priority = self._priority_header()
+                hop = self._hop_headers()
                 request = PredictRequest.from_json_dict(self._read_json_body())
-                self._send_success(
-                    self.server.gateway.predict(
-                        request,
-                        deadline_ms=deadline_ms,
-                        client_id=client_id,
-                        priority=priority,
-                    ).to_json_dict()
-                )
+                self._send_success(self.server.gateway.predict(request, **hop).to_json_dict())
             elif self.path == "/v1/relax":
-                deadline_ms = self._deadline_header_ms()
-                client_id = self._client_header()
-                priority = self._priority_header()
+                hop = self._hop_headers()
                 relax = RelaxRequest.from_json_dict(self._read_json_body())
-                self._send_success(
-                    self.server.gateway.relax(
-                        relax,
-                        deadline_ms=deadline_ms,
-                        client_id=client_id,
-                        priority=priority,
-                    ).to_json_dict()
-                )
+                self._send_success(self.server.gateway.relax(relax, **hop).to_json_dict())
             elif self.path == "/v1/md":
-                deadline_ms = self._deadline_header_ms()
-                client_id = self._client_header()
-                priority = self._priority_header()
+                hop = self._hop_headers()
                 md = MDRequest.from_json_dict(self._read_json_body())
                 # Pre-stream failures (bad knobs, unknown model) raise
                 # here and become ordinary typed statuses; once
                 # _stream_md starts, failures ride the stream instead.
-                model, events = self.server.gateway.md(
-                    md,
-                    deadline_ms=deadline_ms,
-                    client_id=client_id,
-                    priority=priority,
-                )
+                model, events = self.server.gateway.md(md, **hop)
                 self._stream_md(model, events)
             else:
                 raise NotFound(f"no such endpoint: POST {self.path}")

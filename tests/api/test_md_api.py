@@ -203,6 +203,31 @@ class TestMDEndpoint:
         assert http_run.result.steps == local_run.result.steps == 30
         assert http_run.result.thermostat == "langevin"
 
+    def test_numpy_scalar_knobs_agree_over_both_transports(self, server):
+        """numpy-scalar knobs: HTTP encodes them by kind, and the local run
+        uses the same coerced values, so both stay bit-identical."""
+        knobs = dict(
+            NVT_KNOBS,
+            n_steps=np.int64(6),
+            timestep_fs=np.float32(0.4),
+            temperature_k=np.float64(300.0),
+            seed=np.int64(21),
+            frame_interval=np.int64(2),
+        )
+        structure = make_structure(seed=5)
+        http_frames = Client.http(server.url).md(structure, **knobs).frames()
+        with Client.local(make_registry(), cutoff=CUTOFF) as local:
+            local_frames = local.md(structure, **knobs).frames()
+        assert [frame.step for frame in http_frames] == [0, 2, 4, 6]
+        assert_frames_identical(local_frames, http_frames)
+
+    def test_knobs_encode_by_kind(self):
+        body = MDRequest(
+            structure=make_structure(), n_steps=np.int64(2), friction=1, deadline_ms=100
+        ).to_json_dict()
+        assert type(body["n_steps"]) is int
+        assert type(body["friction"]) is float and type(body["deadline_ms"]) is float
+
     def test_chunked_equals_unchunked(self, server):
         structure = make_structure(seed=6)
         client = Client.http(server.url)

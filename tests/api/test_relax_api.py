@@ -205,6 +205,31 @@ class TestRelaxEndpoint:
         np.testing.assert_array_equal(local_result.positions, http_result.positions)
         assert local_result.energy == http_result.energy
 
+    def test_numpy_scalar_knobs_agree_over_both_transports(self, server):
+        """Knobs computed with numpy reach the server as the numbers they
+        hold: the encoder coerces by kind, so HTTP neither fails on
+        ``np.int64`` nor diverges from the in-process run."""
+        knobs = dict(
+            max_steps=np.int64(12),
+            fmax=np.float32(0.05),
+            max_step=np.float64(0.1),
+            deadline_ms=np.int64(60_000),
+        )
+        structure = make_structure(seed=8)
+        http_result = Client.http(server.url).relax(structure, **knobs)
+        with Client.local(make_registry(), cutoff=CUTOFF) as local:
+            local_result = local.relax(structure, **knobs)
+        assert local_result.steps == http_result.steps
+        assert local_result.fmax == http_result.fmax
+        np.testing.assert_array_equal(local_result.positions, http_result.positions)
+
+    def test_knobs_encode_by_kind(self):
+        body = RelaxRequest(
+            structure=make_structure(), max_steps=np.int64(3), fmax=1, deadline_ms=100
+        ).to_json_dict()
+        assert type(body["max_steps"]) is int
+        assert type(body["fmax"]) is float and type(body["deadline_ms"]) is float
+
     def test_unknown_model_is_404(self, server):
         from repro.api import UnknownModelError
 

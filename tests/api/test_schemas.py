@@ -161,6 +161,13 @@ class TestStructureValidation:
         with pytest.raises(SchemaError, match="no cell"):
             StructurePayload.from_json_dict(obj)
 
+    def test_huge_int_coordinate_rejected(self):
+        """A JSON int past float64 range is a 400, not an OverflowError."""
+        obj = self.valid()
+        obj["positions"][1][2] = 10**400
+        with pytest.raises(SchemaError, match=r"positions\[1\]"):
+            StructurePayload.from_json_dict(obj)
+
     def test_bad_cell_shape_rejected(self):
         obj = self.valid()
         obj["cell"] = [[1.0, 0.0], [0.0, 1.0]]
@@ -261,6 +268,25 @@ class TestPredictResponse:
         assert result.cached is False
         assert result.forces.shape == (2, 3)
 
+    @pytest.mark.parametrize("bad", ["x", [1], True, None])
+    def test_bad_latency_rejected(self, bad):
+        obj = self.payload().to_json_dict()
+        obj["latency_s"] = bad
+        with pytest.raises(SchemaError, match=r"result\.latency_s"):
+            PredictionPayload.from_json_dict(obj)
+
+    def test_absent_latency_defaults_to_zero(self):
+        obj = self.payload().to_json_dict()
+        del obj["latency_s"]
+        assert PredictionPayload.from_json_dict(obj).latency_s == 0.0
+
+    def test_huge_int_energy_rejected(self):
+        """A JSON int past float64 range is a 400, not an OverflowError."""
+        obj = self.payload().to_json_dict()
+        obj["energy"] = 10**400
+        with pytest.raises(SchemaError, match=r"result\.energy"):
+            PredictionPayload.from_json_dict(obj)
+
     def test_forces_shape_checked_against_n_atoms(self):
         obj = PredictResponse(model="m", results=[self.payload()]).to_json_dict()
         obj["results"][0]["n_atoms"] = 5
@@ -326,6 +352,13 @@ class TestServerInfoAndStats:
         assert recovered.default_model == "a"
         assert recovered.models[0]["name"] == "a"
         assert "POST /v1/predict" in recovered.endpoints
+
+    @pytest.mark.parametrize("bad", [5, "abc", None, ["GET /v1/models", 7]])
+    def test_bad_endpoints_rejected(self, bad):
+        obj = ServerInfo(models=[]).to_json_dict()
+        obj["endpoints"] = bad
+        with pytest.raises(SchemaError, match=r"info\.endpoints"):
+            ServerInfo.from_json_dict(obj)
 
     def test_stats_round_trip(self):
         snapshot = StatsSnapshot(models={"a": {"serving": {"requests": 4}}})
